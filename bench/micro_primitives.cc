@@ -7,12 +7,15 @@
 #include <benchmark/benchmark.h>
 
 #include "common/distance.h"
+#include "core/plan.h"
 #include "data/generators.h"
+#include "data/geo_like.h"
 #include "detection/cell_based.h"
 #include "detection/grid.h"
 #include "detection/nested_loop.h"
 #include "dshc/af_tree.h"
 #include "partition/partition_plan.h"
+#include "partition/sampler.h"
 #include "partition/strategies.h"
 
 namespace dod {
@@ -72,6 +75,32 @@ void BM_RouterRouteCore(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_RouterRouteCore);
+
+// Route (core + support cells, one bin lookup) on the skewed DMT plan the
+// pipeline builds for dense New York data.
+void BM_RouterRoute(benchmark::State& state) {
+  const Dataset data = GenerateGeoRegion(GeoRegion::kNewYork, 200000, 11);
+  SamplerOptions options;
+  options.rate = 0.05;
+  options.buckets_per_dim = 64;
+  DodConfig config = DodConfig::Dmt(DetectionParams{5.0, 4});
+  config.target_partitions = 64;
+  const MultiTacticPlan plan = BuildMultiTacticPlan(
+      BuildSketch(data, data.Bounds(), options), config);
+  const PartitionRouter router(plan.partition_plan);
+  std::vector<uint32_t> support;
+  size_t cursor = 0;
+  for (auto _ : state) {
+    support.clear();
+    benchmark::DoNotOptimize(
+        router.Route(data[cursor++ % data.size()], &support));
+    benchmark::DoNotOptimize(support.data());
+  }
+  state.counters["cells"] =
+      static_cast<double>(plan.partition_plan.num_cells());
+  state.counters["index_bytes"] = static_cast<double>(router.index_bytes());
+}
+BENCHMARK(BM_RouterRoute);
 
 void BM_AfTreeClusterBuckets(benchmark::State& state) {
   const int side = static_cast<int>(state.range(0));

@@ -63,6 +63,8 @@ void RecordPartitionMetrics(const PartitionProfile& profile) {
 using TaggedWord = uint32_t;
 
 constexpr TaggedWord kSupportFlag = 0x80000000u;
+static_assert(kMaxPipelinePoints == kSupportFlag,
+              "every point id must fit below the tag bit");
 
 TaggedWord PackTagged(PointId id, bool support) {
   DOD_CHECK((id & kSupportFlag) == 0);  // ids fit in 31 bits
@@ -93,32 +95,29 @@ size_t DetectRecordBytes(int dims) {
 // on the stack of each Map call.
 class DetectMapper : public Mapper<uint32_t, TaggedWord> {
  public:
-  DetectMapper(const BlockStore& store, const PartitionPlan& plan,
-               const PartitionRouter& router, bool emit_support)
-      : store_(store),
-        plan_(plan),
-        router_(router),
-        emit_support_(emit_support) {}
+  DetectMapper(const BlockStore& store, const PartitionRouter& router,
+               bool emit_support)
+      : store_(store), router_(router), emit_support_(emit_support) {}
 
   void Map(size_t split_index, Emitter<uint32_t, TaggedWord>& out) override {
     const Dataset& data = store_.dataset();
     std::vector<uint32_t> support_cells;
     for (PointId id : store_.block(split_index)) {
       const double* p = data[id];
-      out.Emit(router_.RouteCore(p), PackTagged(id, false));
-      if (emit_support_) {
-        support_cells.clear();
-        router_.RouteSupport(p, &support_cells);
-        for (uint32_t cell : support_cells) {
-          out.Emit(cell, PackTagged(id, true));
-        }
+      if (!emit_support_) {
+        out.Emit(router_.RouteCore(p), PackTagged(id, false));
+        continue;
+      }
+      support_cells.clear();
+      out.Emit(router_.Route(p, &support_cells), PackTagged(id, false));
+      for (uint32_t cell : support_cells) {
+        out.Emit(cell, PackTagged(id, true));
       }
     }
   }
 
  private:
   const BlockStore& store_;
-  [[maybe_unused]] const PartitionPlan& plan_;
   const PartitionRouter& router_;
   bool emit_support_;
 };
@@ -459,7 +458,7 @@ class VerifyMapper : public Mapper<uint32_t, VerifyRecord> {
     for (PointId id : store_.block(split_index)) {
       const double* p = data[id];
       support_cells.clear();
-      router_.RouteSupport(p, &support_cells);
+      router_.Route(p, &support_cells);
       for (uint32_t cell : support_cells) {
         out.Emit(cell, VerifyRecord{PackTagged(id, false), 0});
       }
@@ -554,16 +553,27 @@ class VerifyReducer : public Reducer<uint32_t, VerifyRecord, PointId> {
 
 }  // namespace
 
+Status CheckPipelinePointCount(size_t num_points) {
+  if (num_points == 0) {
+    return Status::InvalidArgument(
+        "DodPipeline::Run: dataset is empty — nothing to detect on");
+  }
+  if (num_points > kMaxPipelinePoints) {
+    return Status::InvalidArgument(
+        "DodPipeline::Run: dataset has " + std::to_string(num_points) +
+        " points, more than the " + std::to_string(kMaxPipelinePoints) +
+        " a 31-bit shuffle id can address");
+  }
+  return Status::Ok();
+}
+
 Result<DodResult> DodPipeline::Run(const Dataset& data) const {
   return Run(data, nullptr);
 }
 
 Result<DodResult> DodPipeline::Run(const Dataset& data,
                                    RunDiagnostics* diagnostics) const {
-  if (data.empty()) {
-    return Status::InvalidArgument(
-        "DodPipeline::Run: dataset is empty — nothing to detect on");
-  }
+  DOD_RETURN_IF_ERROR(CheckPipelinePointCount(data.size()));
   const DodConfig& config = config_;
   StopWatch wall;
   DodResult result;
@@ -650,8 +660,7 @@ Result<DodResult> DodPipeline::Run(const Dataset& data,
   // checkpoint between preprocessing and the jobs.
   if (control_ptr != nullptr) DOD_RETURN_IF_ERROR(control_ptr->Check());
 
-  const PartitionPlan& partition_plan = result.plan.partition_plan;
-  PartitionRouter router(partition_plan);
+  const PartitionRouter router(result.plan.partition_plan);
   const std::vector<int>& allocation = result.plan.allocation;
   const std::function<int(const uint32_t&)> partition_fn =
       [&allocation](const uint32_t& cell) { return allocation[cell]; };
@@ -699,14 +708,7 @@ Result<DodResult> DodPipeline::Run(const Dataset& data,
         store.block(b).size() * (result.plan.uses_supporting_area ? 3 : 1));
   }
   const size_t record_bytes = DetectRecordBytes(data.dims());
-  // Point records ship the point's coordinates, so their wire size depends
-  // on the dataset — computed per record via the engine's size callback.
   const int dims = data.dims();
-  const std::function<size_t(const uint32_t&, const TaggedWord&)>
-      detect_record_size = [record_bytes](const uint32_t&,
-                                          const TaggedWord&) {
-        return record_bytes;
-      };
 
   // ---- Detection job ------------------------------------------------------
   // The reducers record one predicted-vs-measured profile per reduced cell;
@@ -756,13 +758,13 @@ Result<DodResult> DodPipeline::Run(const Dataset& data,
 
   if (result.plan.uses_supporting_area) {
     trace::Span job_span("pipeline", "detect_job");
-    DetectMapper mapper(store, partition_plan, router, /*emit_support=*/true);
+    DetectMapper mapper(store, router, /*emit_support=*/true);
     DetectReducer reducer(data, result.plan, config.params, &profiler,
                           control_ptr, &memory);
     Result<JobOutput<PointId>> job =
         RunMapReduce<uint32_t, TaggedWord, PointId>(
             store.num_blocks(), mapper, reducer, partition_fn, detect_spec,
-            record_bytes, detect_record_size, &allocation);
+            record_bytes, /*record_size=*/{}, &allocation);
     if (!job.ok()) return AnnotateJobError("detection job", job.status());
     result.outliers = std::move(job.value().output);
     result.detect_stats = std::move(job.value().stats);
@@ -770,13 +772,13 @@ Result<DodResult> DodPipeline::Run(const Dataset& data,
   } else {
     // Domain baseline: job 1 detects locally, job 2 verifies candidates.
     trace::Span job_span("pipeline", "detect_job");
-    DetectMapper mapper(store, partition_plan, router, /*emit_support=*/false);
+    DetectMapper mapper(store, router, /*emit_support=*/false);
     DomainDetectReducer reducer(data, result.plan, config.params, &profiler,
                                 control_ptr, &memory);
     Result<JobOutput<Candidate>> job =
         RunMapReduce<uint32_t, TaggedWord, Candidate>(
             store.num_blocks(), mapper, reducer, partition_fn, detect_spec,
-            record_bytes, detect_record_size, &allocation);
+            record_bytes, /*record_size=*/{}, &allocation);
     if (!job.ok()) return AnnotateJobError("detection job", job.status());
     result.detect_stats = std::move(job.value().stats);
     result.breakdown.detect = result.detect_stats.stage_times;

@@ -67,14 +67,23 @@ struct RunDiagnostics {
   JobStats verify_stats;
 };
 
+// Most points DodPipeline::Run accepts: a shuffle record carries its
+// point id in 31 bits, and the 32nd holds the core/support tag.
+inline constexpr size_t kMaxPipelinePoints = size_t{1} << 31;
+
+// InvalidArgument for an empty dataset or one of more than
+// kMaxPipelinePoints points; Ok otherwise.
+Status CheckPipelinePointCount(size_t num_points);
+
 class DodPipeline {
  public:
   explicit DodPipeline(DodConfig config) : config_(std::move(config)) {}
 
   const DodConfig& config() const { return config_; }
 
-  // Runs the full pipeline on `data`. Returns InvalidArgument on an empty
-  // dataset, and propagates the structured error of any MapReduce task
+  // Runs the full pipeline on `data`. Returns InvalidArgument when
+  // CheckPipelinePointCount refuses the dataset's size (before any job
+  // starts), and propagates the structured error of any MapReduce task
   // that exhausted its retry budget (config().retry / config().faults);
   // the process never aborts on task failure.
   //

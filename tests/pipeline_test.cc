@@ -159,6 +159,20 @@ TEST(PipelineBasics, CentralizedHelperMatchesOracle) {
             GroundTruth(data, params));
 }
 
+TEST(PipelineBasics, PointCountCheckRejectsIdsPastTheTagBit) {
+  // Shuffle records pack a 31-bit point id beside the core/support tag, so
+  // Run refuses inputs whose ids would reach the tag bit before any job
+  // starts (the check takes a count, so no 2^31-point dataset is built).
+  EXPECT_TRUE(CheckPipelinePointCount(1).ok());
+  EXPECT_TRUE(CheckPipelinePointCount(kMaxPipelinePoints).ok());
+  const Status too_many = CheckPipelinePointCount(kMaxPipelinePoints + 1);
+  EXPECT_EQ(too_many.code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(too_many.message().find("2147483649"), std::string::npos)
+      << too_many.ToString();
+  EXPECT_EQ(CheckPipelinePointCount(0).code(),
+            StatusCode::kInvalidArgument);
+}
+
 TEST(PipelineBasics, DeterministicAcrossRuns) {
   DetectionParams params{5.0, 4};
   const Dataset data = GenerateTigerLike(2000, 31);
