@@ -16,6 +16,7 @@
 #include "durability/run_control.h"
 #include "kernels/distance_kernels.h"
 #include "kernels/soa_block.h"
+#include "mapreduce/job.h"
 #include "observability/metrics.h"
 #include "observability/profile.h"
 #include "observability/trace.h"
@@ -99,7 +100,7 @@ class DetectMapper : public Mapper<uint32_t, TaggedWord> {
                bool emit_support)
       : store_(store), router_(router), emit_support_(emit_support) {}
 
-  void Map(size_t split_index, Emitter<uint32_t, TaggedWord>& out) override {
+  Status Map(size_t split_index, Emitter<uint32_t, TaggedWord>& out) override {
     const Dataset& data = store_.dataset();
     std::vector<uint32_t> support_cells;
     for (PointId id : store_.block(split_index)) {
@@ -114,6 +115,7 @@ class DetectMapper : public Mapper<uint32_t, TaggedWord> {
         out.Emit(cell, PackTagged(id, true));
       }
     }
+    return Status::Ok();
   }
 
  private:
@@ -161,9 +163,8 @@ class DetectReducer : public Reducer<uint32_t, TaggedWord, PointId> {
         control_(control),
         memory_(memory) {}
 
-  Status TryReduceTask(const GroupedView<uint32_t, TaggedWord>& groups,
-                       std::vector<PointId>& out,
-                       Counters& counters) override {
+  Status Reduce(const GroupedView<uint32_t, TaggedWord>& groups,
+                std::vector<PointId>& out, Counters& counters) override {
     // Stage every cell's partition: core points first, then support points
     // (the same local ordering the per-cell gathering used to produce).
     TaskArena arena(data_, memory_);
@@ -275,9 +276,8 @@ class DomainDetectReducer : public Reducer<uint32_t, TaggedWord, Candidate> {
         control_(control),
         memory_(memory) {}
 
-  Status TryReduceTask(const GroupedView<uint32_t, TaggedWord>& groups,
-                       std::vector<Candidate>& out,
-                       Counters& counters) override {
+  Status Reduce(const GroupedView<uint32_t, TaggedWord>& groups,
+                std::vector<Candidate>& out, Counters& counters) override {
     // Without supporting areas every shipped point is core.
     TaskArena arena(data_, memory_);
     DOD_RETURN_IF_ERROR(
@@ -445,7 +445,8 @@ class VerifyMapper : public Mapper<uint32_t, VerifyRecord> {
                const std::vector<Candidate>& candidates)
       : store_(store), router_(router), candidates_(candidates) {}
 
-  void Map(size_t split_index, Emitter<uint32_t, VerifyRecord>& out) override {
+  Status Map(size_t split_index,
+             Emitter<uint32_t, VerifyRecord>& out) override {
     const Dataset& data = store_.dataset();
     if (split_index == 0) {
       for (const Candidate& candidate : candidates_) {
@@ -463,6 +464,7 @@ class VerifyMapper : public Mapper<uint32_t, VerifyRecord> {
         out.Emit(cell, VerifyRecord{PackTagged(id, false), 0});
       }
     }
+    return Status::Ok();
   }
 
  private:
@@ -483,9 +485,8 @@ class VerifyReducer : public Reducer<uint32_t, VerifyRecord, PointId> {
                 const RunControl* control, MemoryBudget* memory)
       : data_(data), params_(params), control_(control), memory_(memory) {}
 
-  Status TryReduceTask(const GroupedView<uint32_t, VerifyRecord>& groups,
-                       std::vector<PointId>& out,
-                       Counters& counters) override {
+  Status Reduce(const GroupedView<uint32_t, VerifyRecord>& groups,
+                std::vector<PointId>& out, Counters& counters) override {
     // Split each group into its candidates and its border points; only the
     // border points go into the arena (they are the only probe targets).
     TaskArena arena(data_, memory_);
@@ -662,8 +663,11 @@ Result<DodResult> DodPipeline::Run(const Dataset& data,
 
   const PartitionRouter router(result.plan.partition_plan);
   const std::vector<int>& allocation = result.plan.allocation;
-  const std::function<int(const uint32_t&)> partition_fn =
-      [&allocation](const uint32_t& cell) { return allocation[cell]; };
+  // The allocation plan (Fig. 6, Step 3) as the jobs' partition function.
+  const auto partition = [&allocation](const uint32_t& cell) {
+    DOD_CHECK(cell < allocation.size());
+    return allocation[cell];
+  };
 
   // One checkpoint store per job: the detection and verification jobs use
   // the same task indices, so their records must not share a directory.
@@ -763,8 +767,8 @@ Result<DodResult> DodPipeline::Run(const Dataset& data,
                           control_ptr, &memory);
     Result<JobOutput<PointId>> job =
         RunMapReduce<uint32_t, TaggedWord, PointId>(
-            store.num_blocks(), mapper, reducer, partition_fn, detect_spec,
-            record_bytes, /*record_size=*/{}, &allocation);
+            store.num_blocks(), mapper, reducer, partition, detect_spec,
+            record_bytes);
     if (!job.ok()) return AnnotateJobError("detection job", job.status());
     result.outliers = std::move(job.value().output);
     result.detect_stats = std::move(job.value().stats);
@@ -777,8 +781,8 @@ Result<DodResult> DodPipeline::Run(const Dataset& data,
                                 control_ptr, &memory);
     Result<JobOutput<Candidate>> job =
         RunMapReduce<uint32_t, TaggedWord, Candidate>(
-            store.num_blocks(), mapper, reducer, partition_fn, detect_spec,
-            record_bytes, /*record_size=*/{}, &allocation);
+            store.num_blocks(), mapper, reducer, partition, detect_spec,
+            record_bytes);
     if (!job.ok()) return AnnotateJobError("detection job", job.status());
     result.detect_stats = std::move(job.value().stats);
     result.breakdown.detect = result.detect_stats.stage_times;
@@ -793,12 +797,11 @@ Result<DodResult> DodPipeline::Run(const Dataset& data,
     VerifyReducer verify_reducer(data, config.params, control_ptr, &memory);
     Result<JobOutput<PointId>> verify =
         RunMapReduce<uint32_t, VerifyRecord, PointId>(
-            store.num_blocks(), verify_mapper, verify_reducer, partition_fn,
+            store.num_blocks(), verify_mapper, verify_reducer, partition,
             verify_spec, record_bytes,
             [dims](const uint32_t&, const VerifyRecord& record) {
               return VerifyRecordBytes(dims, record);
-            },
-            &allocation);
+            });
     if (!verify.ok()) {
       return AnnotateJobError("verification job", verify.status());
     }

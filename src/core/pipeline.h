@@ -28,7 +28,7 @@
 #include "core/config.h"
 #include "core/plan.h"
 #include "io/block_store.h"
-#include "mapreduce/job.h"
+#include "mapreduce/job_stats.h"
 
 namespace dod {
 

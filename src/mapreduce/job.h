@@ -3,10 +3,13 @@
 // A single-process MapReduce execution engine.
 //
 // The engine implements the data-flow contract of Fig. 2 in the paper:
-// mappers consume input splits and emit (key, value) records; records are
-// hash- or plan-partitioned to reduce tasks, sorted and grouped by key; each
-// reduce task processes its groups independently with no communication to
-// other reducers (shared-nothing, no synchronization).
+// mappers consume input splits and emit (key, value) records; a partition
+// callable routes each record to a reduce task, where records are grouped
+// by key; each reduce task processes its groups independently with no
+// communication to other reducers (shared-nothing, no synchronization).
+// Each role has exactly one entry point: Mapper::Map runs once per split
+// attempt, Reducer::Reduce once per reduce-task attempt with all of the
+// task's key groups, and both return a Status.
 //
 // Every task is actually executed, and its duration measured. Stage times
 // are then derived by scheduling the measured task costs onto the cluster's
@@ -33,19 +36,20 @@
 // committed job output is identical to a fault-free run; a task that
 // exhausts its retry budget turns the job into a structured error instead
 // of aborting the process.
+//
+// Only the typed data path lives in this header. Everything that does not
+// depend on the key/value/output types — job set-up, the checkpoint codec
+// of a task's accounting, crash injection, the stats folds and the job
+// metrics — is compiled once, in job.cc.
 
 #ifndef DOD_MAPREDUCE_JOB_H_
 #define DOD_MAPREDUCE_JOB_H_
 
-#include <algorithm>
-#include <cstdlib>
-#include <filesystem>
 #include <functional>
 #include <iterator>
 #include <new>
 #include <optional>
 #include <string>
-#include <system_error>
 #include <type_traits>
 #include <utility>
 #include <vector>
@@ -64,7 +68,6 @@
 #include "mapreduce/shuffle.h"
 #include "mapreduce/spill.h"
 #include "mapreduce/task_runner.h"
-#include "observability/metrics.h"
 #include "observability/trace.h"
 #include "runtime/parallel_executor.h"
 
@@ -79,75 +82,32 @@ class Emitter {
 };
 
 // User map function: consumes input split `split_index` (the mapper knows
-// how to fetch its own input, e.g. from a BlockStore) and emits records.
-// Implement Map when the task cannot fail, or override TryMap to surface
-// task-level errors to the engine (which retries, then propagates). Map
-// may be called several times for the same split (task re-execution) and
-// concurrently for different splits (parallel execution), so it must be
-// deterministic, free of external side effects, and must not share
-// mutable scratch state between calls.
+// how to fetch its own input, e.g. from a BlockStore) and emits records. A
+// non-OK status fails the attempt; the engine retries it, then propagates
+// the error with the task's context. Map may be called several times for
+// the same split (task re-execution) and concurrently for different splits
+// (parallel execution), so it must be deterministic, free of external side
+// effects, and must not share mutable scratch state between calls.
 template <typename K, typename V>
 class Mapper {
  public:
   virtual ~Mapper() = default;
-  virtual void Map(size_t split_index, Emitter<K, V>& out) {
-    (void)split_index;
-    (void)out;
-    DOD_CHECK_MSG(false, "Mapper: implement Map() or TryMap()");
-  }
-  // Status-returning variant the engine invokes; defaults to adapting Map.
-  virtual Status TryMap(size_t split_index, Emitter<K, V>& out) {
-    Map(split_index, out);
-    return Status::Ok();
-  }
+  virtual Status Map(size_t split_index, Emitter<K, V>& out) = 0;
 };
 
-// User reduce function: one call per key group. `values` may be consumed
-// destructively. Results go to `out`; `counters` aggregates job counters.
-// Like Map, Reduce may re-run on the same group after an attempt failure,
-// and runs concurrently for groups of *different* reduce tasks (groups
-// within one task stay sequential) — the same reentrancy rules apply.
+// User reduce function: one call per reduce-task attempt, receiving every
+// key group of the task at once, in ascending key order. Values are read
+// in place (zero-copy) through `groups`, which also lets a reducer build
+// per-task shared state (e.g. one probe arena serving all groups). Results
+// go to `out`; `counters` aggregates job counters. A failed attempt's
+// output and counters are discarded and the whole task re-runs, so — like
+// Map — Reduce must be deterministic; distinct tasks run concurrently.
 template <typename K, typename V, typename Out>
 class Reducer {
  public:
   virtual ~Reducer() = default;
-  virtual void Reduce(const K& key, std::vector<V>& values,
-                      std::vector<Out>& out, Counters& counters) {
-    (void)key;
-    (void)values;
-    (void)out;
-    (void)counters;
-    DOD_CHECK_MSG(false, "Reducer: implement Reduce() or TryReduce()");
-  }
-  // Status-returning variant the engine invokes; defaults to adapting
-  // Reduce.
-  virtual Status TryReduce(const K& key, std::vector<V>& values,
-                           std::vector<Out>& out, Counters& counters) {
-    Reduce(key, values, out, counters);
-    return Status::Ok();
-  }
-  // Task-at-a-time variant: one call per reduce-task attempt, receiving
-  // every key group of the task at once. Override to read group values in
-  // place (zero-copy) or to build per-task shared state (e.g. one probe
-  // arena serving all groups). The default adapts the per-group contract:
-  // each group's values are copied into scratch (the shuffle backing must
-  // survive an attempt retry) and handed to TryReduce, stopping at the
-  // first error. The same reentrancy rules apply — one call services one
-  // task, distinct tasks run concurrently.
-  virtual Status TryReduceTask(const GroupedView<K, V>& groups,
-                               std::vector<Out>& out, Counters& counters) {
-    std::vector<V> values;
-    for (size_t g = 0; g < groups.num_groups(); ++g) {
-      const size_t group_size = groups.size(g);
-      values.clear();
-      values.reserve(group_size);
-      for (size_t i = 0; i < group_size; ++i) {
-        values.push_back(groups.value(g, i));
-      }
-      DOD_RETURN_IF_ERROR(TryReduce(groups.key(g), values, out, counters));
-    }
-    return Status::Ok();
-  }
+  virtual Status Reduce(const GroupedView<K, V>& groups,
+                        std::vector<Out>& out, Counters& counters) = 0;
 };
 
 struct JobSpec {
@@ -234,24 +194,131 @@ struct ShuffleAccounting {
   uint64_t bytes = 0;
 };
 
+// A task's accounting, kept apart from its typed records so the
+// type-independent code in job.cc can checkpoint, fold and report it.
+struct TaskLedger {
+  JobStats stats;
+  std::vector<double> slot_costs;
+};
+
+struct MapLedger : TaskLedger {
+  // Spilled shuffle: the winning attempt's run descriptors, in flush
+  // order. A task spills everything or nothing (TaskSpiller::Finish), so
+  // non-empty runs imply empty committed buckets.
+  std::vector<SpillRunInfo> runs;
+  // Worker group that executed the winning attempt (-1 when unknown,
+  // e.g. sequential runs or checkpoint restores): the group that
+  // first-touched this task's output, feeding the reduce placement hints.
+  int worker_group = -1;
+};
+
+struct ReduceLedger : TaskLedger {
+  GroupPath group_path = GroupPath::kSorted;
+  FallbackReason fallback = FallbackReason::kNone;
+  // Reduce-side spill degrade (see GroupBucketOrSpill): the bucket,
+  // sorted and written out as runs so the columnar histogram could run
+  // without it resident. Task-level so a retry regroups from the
+  // existing runs instead of re-spilling an already-freed bucket.
+  std::vector<SpillRunInfo> spill_runs;
+  double group_seconds = 0.0;
+};
+
+// ---- Type-independent job code (job.cc) --------------------------------
+
+// Validates `spec` against the job's types, registers the durability.*
+// metrics and, when spilling, creates the job's private spill directory
+// and arms `gc` on it. Returns that directory (empty = no spilling).
+Result<std::string> BeginJob(const JobSpec& spec, bool checkpointable,
+                             bool spillable, SpillGc* gc);
+
+// Records to pre-reserve per shuffle bucket of map task `split` (0 = no
+// hint, or the reserve would not fit the memory budget).
+size_t BucketReserve(const JobSpec& spec, size_t split, size_t num_reduce,
+                     size_t pair_bytes);
+
+// Restores task (phase, index) from spec.checkpoint when resuming: the
+// ledger's stats delta and slot costs, then `body` (the phase's records),
+// then spec.restore_extra. Returns false when there is nothing to restore
+// or the record is unusable — logged and counted; the caller resets the
+// task and re-runs it (self-healing).
+bool RestoreTask(const JobSpec& spec, TaskPhase phase, int index,
+                 TaskLedger* ledger,
+                 const std::function<Status(PayloadReader&)>& body);
+
+// Durably records a committed task in the same layout RestoreTask reads.
+// Best-effort: a failed write only costs resumability, never the job.
+void PersistTask(const JobSpec& spec, TaskPhase phase, int index,
+                 const TaskLedger& ledger,
+                 const std::function<void(PayloadWriter&)>& body);
+
+// Checkpoint codec of a spilled map task's run descriptors. The reader
+// validates every descriptor against `num_reduce` and `record_bytes` and
+// its backing file, so a bad record fails the restore instead of the job.
+void WriteSpillRuns(const std::vector<SpillRunInfo>& runs,
+                    PayloadWriter& out);
+Status ReadSpillRuns(PayloadReader& in, size_t num_reduce,
+                     size_t record_bytes, std::vector<SpillRunInfo>* runs);
+
+// Checkpoint codec of a reduce task's grouping summary.
+void WriteGroupSummary(const ReduceLedger& ledger, PayloadWriter& out);
+Status ReadGroupSummary(PayloadReader& in, ReduceLedger* ledger);
+
+// Fires the crash FaultSpec configures after task (phase, index)
+// committed (and, when checkpointing, after its record is durable).
+Status MaybeCrash(const FaultSpec& faults, TaskPhase phase, int index);
+
+// Folds one task's stats delta and slot costs into the job's totals.
+void FoldTask(TaskPhase phase, const TaskLedger& ledger, JobStats* stats);
+
+// Returns `failure`, first copying the completed work's accounting into
+// *spec.partial_stats when requested.
+Status FailJob(const JobSpec& spec, const StopWatch& wall,
+               const JobStats& stats, Status failure);
+
+// Reduce task r's placement hint: the worker group whose map tasks
+// produced the plurality of its input records (group_records[r][g]).
+std::vector<int> ReduceHints(
+    const std::vector<std::vector<uint64_t>>& group_records);
+
+// Derives the cluster-stage times and wall time of a committed job and
+// folds its totals into the process-wide metrics registry.
+void FinishJob(const JobSpec& spec, int blacklisted_nodes,
+               const StopWatch& wall, const std::vector<MapLedger>& maps,
+               const std::vector<ReduceLedger>& reduces,
+               const ParallelExecutor& executor, JobStats* stats);
+
+// Count-prefixed raw records. Only for types whose bytes are their value
+// (the checkpointable K/V/Out; see RunMapReduce).
+template <typename T>
+void WriteRecords(const std::vector<T>& records, PayloadWriter& out) {
+  out.U64(records.size());
+  out.Raw(records.data(), records.size() * sizeof(T));
+}
+
+template <typename T>
+Status ReadRecords(PayloadReader& in, std::vector<T>* records) {
+  uint64_t count = 0;
+  DOD_RETURN_IF_ERROR(in.U64(&count));
+  if (count > in.remaining() / sizeof(T)) {
+    return Status::IoError("checkpoint record array overruns payload");
+  }
+  records->resize(static_cast<size_t>(count));
+  return in.Raw(records->data(), static_cast<size_t>(count) * sizeof(T));
+}
+
 // Buffers emitted records into per-reduce-task buckets (attempt staging).
-// When a dense partition table is supplied (integral keys routed by a
-// precomputed allocation plan), Emit resolves the reduce task with one
-// indexed load instead of a std::function call per record.
-template <typename K, typename V>
+// `Partition` is the job's routing callable, invoked directly per record.
+template <typename K, typename V, typename Partition>
 class ShuffleEmitter : public Emitter<K, V> {
  public:
   using Buckets = std::vector<std::vector<std::pair<K, V>>>;
 
-  ShuffleEmitter(Buckets& buckets, const std::function<int(const K&)>& part,
-                 const std::vector<int>* dense_partition, size_t record_bytes,
+  ShuffleEmitter(Buckets& buckets, const Partition& part, size_t record_bytes,
                  const std::function<size_t(const K&, const V&)>& record_size,
                  ShuffleAccounting& accounting, ShuffleFaultFilter* filter,
-                 TaskSpiller<K, V>* spiller = nullptr,
-                 uint64_t spill_threshold = 0)
+                 TaskSpiller<K, V>* spiller, uint64_t spill_threshold)
       : buckets_(buckets),
         part_(part),
-        dense_partition_(dense_partition),
         record_bytes_(record_bytes),
         record_size_(record_size),
         accounting_(accounting),
@@ -267,7 +334,7 @@ class ShuffleEmitter : public Emitter<K, V> {
       // way the filter fails the attempt, so no faulty data ever commits.
       if (fault == FaultKind::kShuffleDrop) return;
     }
-    const int task = Partition(key);
+    const int task = part_(key);
     DOD_CHECK(task >= 0 && task < static_cast<int>(buckets_.size()));
     buckets_[static_cast<size_t>(task)].emplace_back(key, value);
     ++accounting_.records;
@@ -285,20 +352,8 @@ class ShuffleEmitter : public Emitter<K, V> {
   }
 
  private:
-  int Partition(const K& key) const {
-    if constexpr (std::is_integral_v<K>) {
-      if (dense_partition_ != nullptr) {
-        const size_t index = static_cast<size_t>(key);
-        DOD_CHECK(index < dense_partition_->size());
-        return (*dense_partition_)[index];
-      }
-    }
-    return part_(key);
-  }
-
   Buckets& buckets_;
-  const std::function<int(const K&)>& part_;
-  const std::vector<int>* dense_partition_;
+  const Partition& part_;
   size_t record_bytes_;
   const std::function<size_t(const K&, const V&)>& record_size_;
   ShuffleAccounting& accounting_;
@@ -313,83 +368,40 @@ class ShuffleEmitter : public Emitter<K, V> {
 // Runs a full MapReduce job: map over `num_splits` splits, shuffle, reduce.
 //
 // `partition` routes a key to its reduce task — the hook through which DOD
-// injects its allocation plan (Fig. 6, Step 3); it is called concurrently
-// from map tasks and must be pure. When the plan is already a dense table
-// over an integral key space, pass it as `dense_partition` (entry k = the
-// reduce task of key k) and the emitter skips the std::function call per
-// record; `partition` is then only a fallback and may be empty.
-// `record_bytes` is the wire size charged per shuffled record; pass
-// `record_size` instead when record sizes vary (heap-allocated payloads),
-// in which case it overrides `record_bytes` per record.
+// injects its allocation plan (Fig. 6, Step 3). It is any callable taking
+// `const K&` and returning the task index, invoked directly once per
+// emitted record (a lambda inlines into the emit path); it is called
+// concurrently from map tasks and must be pure. `record_bytes` is the wire
+// size charged per shuffled record; pass `record_size` instead when record
+// sizes vary (heap-allocated payloads), in which case it overrides
+// `record_bytes` per record.
 //
 // Returns the job output, or the structured error of the first task (by
 // task index) that exhausted its attempt budget (see
 // mapreduce/task_runner.h). The process never aborts on task failure.
-template <typename K, typename V, typename Out>
+template <typename K, typename V, typename Out, typename Partition>
 Result<JobOutput<Out>> RunMapReduce(
     size_t num_splits, Mapper<K, V>& mapper, Reducer<K, V, Out>& reducer,
-    const std::function<int(const K&)>& partition, const JobSpec& spec,
+    const Partition& partition, const JobSpec& spec,
     size_t record_bytes = sizeof(K) + sizeof(V),
-    const std::function<size_t(const K&, const V&)>& record_size = {},
-    const std::vector<int>* dense_partition = nullptr) {
-  if (spec.num_reduce_tasks < 1) {
-    return Status::InvalidArgument(
-        "RunMapReduce: num_reduce_tasks must be >= 1");
-  }
+    const std::function<size_t(const K&, const V&)>& record_size = {}) {
   // Checkpoint payloads store records and outputs as raw bytes; that is
   // only sound for trivially copyable types. Jobs with richer types can
   // still run — they just cannot checkpoint. The check is on K and V, not
   // on pair<K, V>: pair's user-provided assignment operator makes the pair
   // formally non-trivially-copyable even when its representation — all
-  // that the byte copy touches — is two trivially copyable members.
-  constexpr bool kCheckpointable = std::is_trivially_copyable_v<K> &&
-                                   std::is_trivially_copyable_v<V> &&
-                                   std::is_trivially_copyable_v<Out>;
-  if constexpr (!kCheckpointable) {
-    if (spec.checkpoint != nullptr) {
-      return Status::Unimplemented(
-          "RunMapReduce: checkpointing requires trivially copyable "
-          "key/value/output types");
-    }
-  }
-  // Spill runs store records as raw bytes — same soundness condition as
-  // checkpoint payloads, but only on the shuffled pair.
+  // that the byte copy touches — is two trivially copyable members. Spill
+  // runs store the shuffled pairs the same way.
   constexpr bool kSpillable =
       std::is_trivially_copyable_v<K> && std::is_trivially_copyable_v<V>;
-  if constexpr (!kSpillable) {
-    if (spec.spill.enabled()) {
-      return Status::Unimplemented(
-          "RunMapReduce: shuffle spilling requires trivially copyable "
-          "key/value types");
-    }
-  }
-  const bool spilling = kSpillable && spec.spill.enabled();
-  const uint64_t spill_threshold = spec.spill.EffectiveThreshold(spec.memory);
+  constexpr bool kCheckpointable =
+      kSpillable && std::is_trivially_copyable_v<Out>;
   internal::SpillGc spill_gc;
-  std::string spill_dir;
-  if (spilling) {
-    // Run files live in a per-job subdirectory so jobs sharing a spill
-    // dir cannot truncate each other's files. Keyed by the checkpoint
-    // store's identity when checkpointing — a resumed run must land in
-    // the same namespace its crashed predecessor spilled into.
-    spill_dir = internal::SpillJobDir(
-        spec.spill.dir,
-        spec.checkpoint != nullptr
-            ? spec.checkpoint->dir() + "\n" + spec.checkpoint->job_key()
-            : std::string());
-    std::error_code ec;
-    std::filesystem::create_directories(spill_dir, ec);
-    if (ec) {
-      return Status::IoError("RunMapReduce: cannot create spill directory " +
-                             spill_dir + ": " + ec.message());
-    }
-    spill_gc.TrackDir(spill_dir);
-    // A checkpointing job's durable records reference the run files, so a
-    // structured failure must leave them on disk for the resumed run —
-    // matching what a real crash (no destructors) does. Disarmed at the
-    // success exit below.
-    spill_gc.set_keep_files(spec.checkpoint != nullptr);
-  }
+  DOD_ASSIGN_OR_RETURN(
+      const std::string spill_dir,
+      internal::BeginJob(spec, kCheckpointable, kSpillable, &spill_gc));
+  const bool spilling = !spill_dir.empty();
+  const uint64_t spill_threshold = spec.spill.EffectiveThreshold(spec.memory);
   JobOutput<Out> result;
   JobStats& stats = result.stats;
   StopWatch wall;
@@ -400,108 +412,20 @@ Result<JobOutput<Out>> RunMapReduce(
   stats.threads_used = executor.num_threads();
 
   const size_t num_reduce = static_cast<size_t>(spec.num_reduce_tasks);
-  using Buckets = typename internal::ShuffleEmitter<K, V>::Buckets;
-
-  // ---- Durability plumbing ---------------------------------------------
-  // Registered unconditionally so the durability.* schema is always
-  // present in metrics dumps; Id() is idempotent across instantiations.
-  MetricsRegistry& dmetrics = MetricsRegistry::Global();
-  static const uint32_t kCkptTasksWritten = dmetrics.Id(
-      "durability.checkpoint.tasks_written", MetricKind::kCounter);
-  [[maybe_unused]] static const uint32_t kCkptTasksResumed = dmetrics.Id(
-      "durability.checkpoint.tasks_resumed", MetricKind::kCounter);
-  static const uint32_t kCkptBytesWritten = dmetrics.Id(
-      "durability.checkpoint.bytes_written", MetricKind::kCounter);
-  static const uint32_t kCkptWriteSeconds = dmetrics.Id(
-      "durability.checkpoint.write_seconds", MetricKind::kHistogram);
-  [[maybe_unused]] static const uint32_t kCkptLoadFailures = dmetrics.Id(
-      "durability.checkpoint.load_failures", MetricKind::kCounter);
-  static const uint32_t kControlAborts =
-      dmetrics.Id("durability.control.aborts", MetricKind::kCounter);
-  static const uint32_t kBudgetShuffleFallbacks = dmetrics.Id(
-      "durability.memory.shuffle_budget_fallbacks", MetricKind::kCounter);
-  static const uint32_t kBudgetReserveSkipped = dmetrics.Id(
-      "durability.memory.reserve_skipped", MetricKind::kCounter);
-  static const uint32_t kBudgetPeakBytes =
-      dmetrics.Id("durability.memory.peak_bytes", MetricKind::kGauge);
-
-  // Durably records one committed task. Best-effort: a failed write only
-  // costs resumability, never the job.
-  auto persist_checkpoint = [&](TaskPhase phase, int index,
-                                const PayloadWriter& payload) {
-    trace::Span span("durability", "checkpoint_commit");
-    span.Arg("phase", TaskPhaseName(phase))
-        .Arg("task", index)
-        .Arg("bytes", static_cast<uint64_t>(payload.size()));
-    StopWatch watch;
-    const Status status = spec.checkpoint->CommitTask(TaskPhaseName(phase),
-                                                      index, payload.str());
-    if (!status.ok()) {
-      span.Arg("status", "failed");
-      DOD_LOG(Warning) << "checkpoint write for " << TaskPhaseName(phase)
-                       << " task " << index
-                       << " failed: " << status.ToString();
-      return;
-    }
-    span.Arg("status", "ok");
-    dmetrics.Increment(kCkptTasksWritten);
-    dmetrics.Increment(kCkptBytesWritten, payload.size());
-    dmetrics.Observe(kCkptWriteSeconds, watch.ElapsedSeconds());
-  };
-
-  // Fires the configured crash after task (phase, index) committed (and,
-  // when checkpointing, after its record is durable) — see FaultSpec.
-  auto maybe_crash = [&](TaskPhase phase, int index) -> Status {
-    if (spec.faults.crash_at_task != index ||
-        spec.faults.crash_phase != phase) {
-      return Status::Ok();
-    }
-    if (spec.faults.crash_exit) {
-      // Simulated kill -9: no destructors, no stream flushes. Only the
-      // durably committed checkpoints survive — which is the point.
-      std::_Exit(42);
-    }
-    return Status::Unavailable(std::string("injected crash after ") +
-                               TaskPhaseName(phase) + " task " +
-                               std::to_string(index) + " committed");
-  };
-
-  // Merges the completed work's accounting into *spec.partial_stats (when
-  // requested) before a failing job returns `failure`.
-  auto fail_job = [&](Status failure) -> Status {
-    if (IsTerminalTaskStatus(failure.code())) {
-      dmetrics.Increment(kControlAborts);
-    }
-    if (spec.partial_stats != nullptr) {
-      stats.wall_seconds = wall.ElapsedSeconds();
-      *spec.partial_stats = stats;
-    }
-    return failure;
-  };
+  using Buckets = std::vector<std::vector<std::pair<K, V>>>;
 
   // ---- Map phase -------------------------------------------------------
   // Every map task stages into private buckets; the winning attempt's
   // staging is committed into the task's slot and merged into the global
   // shuffle after the barrier, in split order — so the shuffled buckets
   // are byte-identical no matter how tasks interleave.
-  struct MapTaskState {
+  struct MapTask {
     Buckets staging;
     Buckets committed;
-    // Spilled shuffle: the winning attempt's run descriptors, in flush
-    // order. A task spills everything or nothing (TaskSpiller::Finish), so
-    // non-empty runs imply empty committed buckets.
-    std::vector<internal::SpillRunInfo> runs;
-    // Worker group that executed the winning attempt (-1 when unknown,
-    // e.g. sequential runs or checkpoint restores): the group that
-    // first-touched this task's output, feeding the reduce placement hints.
-    int worker_group = -1;
     internal::ShuffleAccounting accounting;
-    JobStats stats;
-    std::vector<double> slot_costs;
   };
-  std::vector<MapTaskState> map_tasks(num_splits);
-  const double read_bytes_per_second =
-      spec.cluster.disk_read_mbps_per_slot * 1e6;
+  std::vector<MapTask> map_tasks(num_splits);
+  std::vector<internal::MapLedger> map_ledgers(num_splits);
   StopWatch map_wall;
   Status map_status;
   {
@@ -509,134 +433,56 @@ Result<JobOutput<Out>> RunMapReduce(
     phase_span.Arg("tasks", static_cast<uint64_t>(num_splits));
     map_status = executor.RunTasks(
       num_splits, [&](size_t split) -> Status {
-        MapTaskState& task = map_tasks[split];
+        const int index = static_cast<int>(split);
+        MapTask& task = map_tasks[split];
+        internal::MapLedger& ledger = map_ledgers[split];
         if constexpr (kCheckpointable) {
-          if (spec.checkpoint != nullptr && spec.resume &&
-              spec.checkpoint->HasTask("map", static_cast<int>(split))) {
-            trace::Span span("durability", "checkpoint_restore");
-            span.Arg("phase", "map").Arg("task",
-                                         static_cast<uint64_t>(split));
-            Status restored = [&]() -> Status {
-              DOD_ASSIGN_OR_RETURN(
-                  std::string payload,
-                  spec.checkpoint->LoadTask("map", static_cast<int>(split)));
-              PayloadReader reader(payload);
-              DOD_RETURN_IF_ERROR(
-                  DeserializeJobStatsDelta(&reader, &task.stats));
-              DOD_RETURN_IF_ERROR(reader.F64Vec(&task.slot_costs));
-              uint8_t spilled_flag = 0;
-              DOD_RETURN_IF_ERROR(reader.U8(&spilled_flag));
-              if (spilled_flag > 1) {
-                return Status::IoError("map checkpoint has unknown layout");
-              }
-              if (spilled_flag == 1) {
-                // The task's shuffle output lives in spill runs, which a
-                // crash deliberately leaves on disk (SpillGc destructors
-                // never ran). Validate each run's backing file before
-                // trusting the descriptor; a vanished or shrunken file
-                // fails the restore and the task re-runs (self-healing).
-                uint64_t num_runs = 0;
-                DOD_RETURN_IF_ERROR(reader.U64(&num_runs));
-                task.runs.clear();
-                for (uint64_t i = 0; i < num_runs; ++i) {
-                  internal::SpillRunInfo run;
-                  DOD_RETURN_IF_ERROR(reader.String(&run.file));
-                  DOD_RETURN_IF_ERROR(reader.U32(&run.partition));
-                  DOD_RETURN_IF_ERROR(reader.U64(&run.records));
-                  DOD_RETURN_IF_ERROR(reader.U64(&run.offset));
-                  DOD_RETURN_IF_ERROR(reader.U64(&run.bytes));
-                  DOD_RETURN_IF_ERROR(reader.U64(&run.checksum));
-                  DOD_RETURN_IF_ERROR(reader.U64(&run.min_key));
-                  DOD_RETURN_IF_ERROR(reader.U64(&run.max_key));
-                  if (run.partition >= num_reduce) {
-                    return Status::IoError(
-                        "map checkpoint spill run has bad partition");
-                  }
-                  std::error_code ec;
-                  const uint64_t size =
-                      std::filesystem::file_size(run.file, ec);
-                  if (ec || size < run.offset + run.bytes) {
-                    return Status::IoError("map checkpoint spill run file " +
-                                           run.file + " missing or short");
-                  }
-                  task.runs.push_back(std::move(run));
-                }
-                for (const internal::SpillRunInfo& run : task.runs) {
-                  spill_gc.Track(run.file);
+          const bool restored = internal::RestoreTask(
+              spec, TaskPhase::kMap, index, &ledger,
+              [&](PayloadReader& reader) -> Status {
+                uint8_t spilled = 0;
+                DOD_RETURN_IF_ERROR(reader.U8(&spilled));
+                if (spilled > 1) {
+                  return Status::IoError("map checkpoint has unknown layout");
                 }
                 task.committed.assign(num_reduce,
                                       typename Buckets::value_type());
-              } else {
+                if (spilled == 1) {
+                  // The task's shuffle output lives in spill runs, which a
+                  // crash deliberately leaves on disk (SpillGc destructors
+                  // never ran).
+                  DOD_RETURN_IF_ERROR(internal::ReadSpillRuns(
+                      reader, num_reduce, sizeof(std::pair<K, V>),
+                      &ledger.runs));
+                  for (const internal::SpillRunInfo& run : ledger.runs) {
+                    spill_gc.Track(run.file);
+                  }
+                  return Status::Ok();
+                }
                 uint64_t num_buckets = 0;
                 DOD_RETURN_IF_ERROR(reader.U64(&num_buckets));
                 if (num_buckets != num_reduce) {
                   return Status::IoError(
                       "map checkpoint bucket count mismatch");
                 }
-                task.committed.assign(num_reduce,
-                                      typename Buckets::value_type());
                 for (auto& bucket : task.committed) {
-                  uint64_t count = 0;
-                  DOD_RETURN_IF_ERROR(reader.U64(&count));
-                  if (count > reader.remaining() / sizeof(std::pair<K, V>)) {
-                    return Status::IoError(
-                        "map checkpoint bucket overruns payload");
-                  }
-                  bucket.resize(static_cast<size_t>(count));
-                  DOD_RETURN_IF_ERROR(reader.Raw(
-                      bucket.data(),
-                      static_cast<size_t>(count) * sizeof(std::pair<K, V>)));
+                  DOD_RETURN_IF_ERROR(internal::ReadRecords(reader, &bucket));
                 }
-              }
-              if (spec.restore_extra) {
-                DOD_RETURN_IF_ERROR(spec.restore_extra(
-                    TaskPhase::kMap, static_cast<int>(split), reader));
-              }
-              return reader.ExpectDone();
-            }();
-            if (restored.ok()) {
-              span.Arg("status", "ok");
-              dmetrics.Increment(kCkptTasksResumed);
-              return Status::Ok();
-            }
-            // Self-healing: a record that fails validation is discarded
-            // and the task re-runs from scratch.
-            span.Arg("status", "failed");
-            dmetrics.Increment(kCkptLoadFailures);
-            DOD_LOG(Warning)
-                << "map task " << split << " checkpoint unusable ("
-                << restored.ToString() << "); re-running";
-            task.stats = JobStats();
-            task.slot_costs.clear();
-            task.committed = Buckets();
-            task.runs.clear();
-          }
+                return Status::Ok();
+              });
+          if (restored) return Status::Ok();
+          task = MapTask();
+          ledger = internal::MapLedger();
         }
         task.staging.resize(num_reduce);
-        if (split < spec.split_record_hints.size() &&
-            spec.split_record_hints[split] > 0) {
-          // Pre-size buckets from the split's expected record count, with
-          // 50% headroom so a moderately skewed allocation still avoids
-          // regrowth. reserve() survives the per-attempt clear() below.
-          const uint64_t hint = spec.split_record_hints[split];
-          const size_t per_bucket = static_cast<size_t>(
-              hint / num_reduce + hint / (2 * num_reduce) + 1);
-          const uint64_t reserve_bytes = static_cast<uint64_t>(per_bucket) *
-                                         num_reduce *
-                                         sizeof(std::pair<K, V>);
-          if (spec.memory != nullptr &&
-              !spec.memory->FitsAlone(reserve_bytes)) {
-            // Deterministic degrade: emit into un-presized buckets (slower,
-            // identical records) instead of reserving past the budget.
-            dmetrics.Increment(kBudgetReserveSkipped);
-          } else {
-            for (auto& bucket : task.staging) bucket.reserve(per_bucket);
-          }
-        }
+        // reserve() survives the per-attempt clear() below.
+        const size_t reserve = internal::BucketReserve(
+            spec, split, num_reduce, sizeof(std::pair<K, V>));
+        for (auto& bucket : task.staging) bucket.reserve(reserve);
         const double scan_seconds =
             split < spec.split_input_bytes.size()
                 ? static_cast<double>(spec.split_input_bytes[split]) /
-                      read_bytes_per_second
+                      (spec.cluster.disk_read_mbps_per_slot * 1e6)
                 : 0.0;
         // One spiller (and run file) per task, reset at each attempt:
         // attempts are sequential and speculative duplicates are simulated
@@ -644,26 +490,24 @@ Result<JobOutput<Out>> RunMapReduce(
         // failed attempt leaves no orphan — its successor reuses the path.
         std::optional<internal::TaskSpiller<K, V>> spiller;
         if (spilling) {
-          spiller.emplace(internal::SpillFilePath(spill_dir, "map",
-                                                  static_cast<int>(split)),
+          spiller.emplace(internal::SpillFilePath(spill_dir, "map", index),
                           &spill_gc);
         }
         const Status run_status = runner.RunTask(
-            TaskPhase::kMap, static_cast<int>(split), scan_seconds,
+            TaskPhase::kMap, index, scan_seconds,
             [&](int attempt) -> Status {
               for (auto& bucket : task.staging) bucket.clear();
               task.accounting = internal::ShuffleAccounting{};
               if (spiller.has_value()) spiller->Reset();
-              ShuffleFaultFilter filter(injector, TaskPhase::kMap,
-                                        static_cast<int>(split), attempt);
-              internal::ShuffleEmitter<K, V> emitter(
-                  task.staging, partition, dense_partition, record_bytes,
-                  record_size, task.accounting,
-                  injector.enabled() ? &filter : nullptr,
+              ShuffleFaultFilter filter(injector, TaskPhase::kMap, index,
+                                        attempt);
+              internal::ShuffleEmitter<K, V, Partition> emitter(
+                  task.staging, partition, record_bytes, record_size,
+                  task.accounting, injector.enabled() ? &filter : nullptr,
                   spiller.has_value() ? &*spiller : nullptr, spill_threshold);
-              const Status map_status = mapper.TryMap(split, emitter);
-              task.stats.shuffle_records_dropped += filter.dropped();
-              task.stats.shuffle_records_corrupted += filter.corrupted();
+              const Status map_status = mapper.Map(split, emitter);
+              ledger.stats.shuffle_records_dropped += filter.dropped();
+              ledger.stats.shuffle_records_corrupted += filter.corrupted();
               if (!map_status.ok()) return map_status;
               if (spiller.has_value()) {
                 // Tasks that spilled flush their remainder so the task's
@@ -671,81 +515,57 @@ Result<JobOutput<Out>> RunMapReduce(
                 // attempt failures (retried like any task error).
                 DOD_RETURN_IF_ERROR(spiller->Finish(task.staging));
               }
-              task.worker_group = ThreadPool::CurrentWorkerGroup();
+              ledger.worker_group = ThreadPool::CurrentWorkerGroup();
               return filter.AttemptStatus();
             },
             [&]() {
               task.committed = std::move(task.staging);
-              if (spiller.has_value()) task.runs = spiller->TakeRuns();
-              task.stats.records_shuffled += task.accounting.records;
-              task.stats.bytes_shuffled += task.accounting.bytes;
+              if (spiller.has_value()) ledger.runs = spiller->TakeRuns();
+              ledger.stats.records_shuffled += task.accounting.records;
+              ledger.stats.bytes_shuffled += task.accounting.bytes;
             },
-            task.stats, task.slot_costs);
+            ledger.stats, ledger.slot_costs);
         if (!run_status.ok()) return run_status;
         if constexpr (kCheckpointable) {
-          if (spec.checkpoint != nullptr) {
-            PayloadWriter payload;
-            SerializeJobStatsDelta(task.stats, &payload);
-            payload.F64Vec(task.slot_costs);
-            if (!task.runs.empty()) {
-              // Spilled task: checkpoint the run descriptors, not the data
-              // — the runs themselves are already on disk and survive a
-              // crash (see the restore path's validation).
-              payload.U8(1);
-              payload.U64(task.runs.size());
-              for (const internal::SpillRunInfo& run : task.runs) {
-                payload.String(run.file);
-                payload.U32(run.partition);
-                payload.U64(run.records);
-                payload.U64(run.offset);
-                payload.U64(run.bytes);
-                payload.U64(run.checksum);
-                payload.U64(run.min_key);
-                payload.U64(run.max_key);
-              }
-            } else {
-              payload.U8(0);
-              payload.U64(task.committed.size());
-              for (const auto& bucket : task.committed) {
-                payload.U64(bucket.size());
-                payload.Raw(bucket.data(),
-                            bucket.size() * sizeof(std::pair<K, V>));
-              }
-            }
-            if (spec.checkpoint_extra) {
-              spec.checkpoint_extra(TaskPhase::kMap, static_cast<int>(split),
-                                    payload);
-            }
-            persist_checkpoint(TaskPhase::kMap, static_cast<int>(split),
-                               payload);
-          }
+          internal::PersistTask(
+              spec, TaskPhase::kMap, index, ledger,
+              [&](PayloadWriter& payload) {
+                if (!ledger.runs.empty()) {
+                  // Spilled task: checkpoint the run descriptors, not the
+                  // data — the runs are already on disk and survive a crash.
+                  payload.U8(1);
+                  internal::WriteSpillRuns(ledger.runs, payload);
+                  return;
+                }
+                payload.U8(0);
+                payload.U64(task.committed.size());
+                for (const auto& bucket : task.committed) {
+                  internal::WriteRecords(bucket, payload);
+                }
+              });
         }
-        return maybe_crash(TaskPhase::kMap, static_cast<int>(split));
+        return internal::MaybeCrash(spec.faults, TaskPhase::kMap, index);
       });
   }
-  if (!map_status.ok()) {
-    // Fold the completed tasks' accounting in so partial-progress stats
-    // are available to the caller.
-    stats.map_wall_seconds = map_wall.ElapsedSeconds();
-    for (MapTaskState& task : map_tasks) {
-      stats.MergeFrom(task.stats);
-      stats.map_task_seconds.insert(stats.map_task_seconds.end(),
-                                    task.slot_costs.begin(),
-                                    task.slot_costs.end());
-    }
-    return fail_job(map_status);
-  }
+  // Fold the map tasks' accounting in before checking the phase status, so
+  // a failing job still reports the work that completed.
   stats.map_wall_seconds = map_wall.ElapsedSeconds();
+  for (const internal::MapLedger& ledger : map_ledgers) {
+    internal::FoldTask(TaskPhase::kMap, ledger, &stats);
+  }
+  if (!map_status.ok()) {
+    return internal::FailJob(spec, wall, stats, std::move(map_status));
+  }
 
   // Deterministic shuffle merge: split order, then bucket order. With no
-  // spilled map task the records are concatenated into per-reduce buckets
-  // exactly as before; when any task spilled, concatenation is deferred —
-  // each reduce task instead gets an ordered segment list (in-memory
-  // buckets of non-spilled tasks, disk runs of spilled ones, still in
-  // (split, flush) order) that the grouping layer merges back together.
+  // spilled map task the records are concatenated into per-reduce buckets;
+  // when any task spilled, concatenation is deferred — each reduce task
+  // instead gets an ordered segment list (in-memory buckets of non-spilled
+  // tasks, disk runs of spilled ones, still in (split, flush) order) that
+  // the grouping layer merges back together.
   bool any_spilled = false;
-  for (const MapTaskState& task : map_tasks) {
-    if (!task.runs.empty()) any_spilled = true;
+  for (const internal::MapLedger& ledger : map_ledgers) {
+    if (!ledger.runs.empty()) any_spilled = true;
   }
   Buckets buckets(num_reduce);
   // segments[r]: reduce task r's input pieces; empty unless any_spilled.
@@ -757,27 +577,18 @@ Result<JobOutput<Out>> RunMapReduce(
       num_reduce, std::vector<uint64_t>(static_cast<size_t>(exec_groups), 0));
   {
     trace::Span shuffle_span("phase", "shuffle");
-    stats.map_task_seconds.reserve(num_splits);
     if (any_spilled) segments.resize(num_reduce);
     try {
-      for (MapTaskState& task : map_tasks) {
-        stats.MergeFrom(task.stats);
-        stats.map_task_seconds.insert(stats.map_task_seconds.end(),
-                                      task.slot_costs.begin(),
-                                      task.slot_costs.end());
-        const bool count_group =
-            task.worker_group >= 0 && task.worker_group < exec_groups;
-        for (size_t r = 0; r < task.committed.size(); ++r) {
-          if (count_group) {
-            group_records[r][static_cast<size_t>(task.worker_group)] +=
-                task.committed[r].size();
+      for (size_t split = 0; split < num_splits; ++split) {
+        MapTask& task = map_tasks[split];
+        const internal::MapLedger& ledger = map_ledgers[split];
+        if (ledger.worker_group >= 0 && ledger.worker_group < exec_groups) {
+          const size_t g = static_cast<size_t>(ledger.worker_group);
+          for (size_t r = 0; r < task.committed.size(); ++r) {
+            group_records[r][g] += task.committed[r].size();
           }
-        }
-        for (const internal::SpillRunInfo& run : task.runs) {
-          if (count_group) {
-            group_records[run.partition]
-                         [static_cast<size_t>(task.worker_group)] +=
-                run.records;
+          for (const internal::SpillRunInfo& run : ledger.runs) {
+            group_records[run.partition][g] += run.records;
           }
         }
         if (!any_spilled) {
@@ -790,155 +601,80 @@ Result<JobOutput<Out>> RunMapReduce(
           }
           // Free the per-task buffers eagerly; the shuffle owns the data.
           task.committed = Buckets();
-        } else {
+        } else if (ledger.runs.empty()) {
           // Segment mode: the per-task buckets stay alive (map_tasks
           // outlives the reduce phase) and are referenced in place.
-          if (task.runs.empty()) {
-            for (size_t r = 0; r < task.committed.size(); ++r) {
-              if (task.committed[r].empty()) continue;
-              segments[r].push_back(internal::ShuffleSegment<K, V>{
-                  &task.committed[r], nullptr});
-            }
-          } else {
-            // Runs were flushed in time-slice order and each carries its
-            // partition; appending in recorded order preserves emission
-            // order per reduce task.
-            for (const internal::SpillRunInfo& run : task.runs) {
-              segments[run.partition].push_back(
-                  internal::ShuffleSegment<K, V>{nullptr, &run});
-            }
+          for (size_t r = 0; r < task.committed.size(); ++r) {
+            if (task.committed[r].empty()) continue;
+            segments[r].push_back(internal::ShuffleSegment<K, V>{
+                &task.committed[r], nullptr});
+          }
+        } else {
+          // Runs were flushed in time-slice order and each carries its
+          // partition; appending in recorded order preserves emission
+          // order per reduce task.
+          for (const internal::SpillRunInfo& run : ledger.runs) {
+            segments[run.partition].push_back(
+                internal::ShuffleSegment<K, V>{nullptr, &run});
           }
         }
         task.staging = Buckets();
       }
     } catch (const std::bad_alloc&) {
-      return fail_job(Status::ResourceExhausted(
-          "shuffle merge failed to allocate the merged buckets"));
+      return internal::FailJob(
+          spec, wall, stats,
+          Status::ResourceExhausted(
+              "shuffle merge failed to allocate the merged buckets"));
     }
     stats.records_mapped = stats.records_shuffled;
     shuffle_span.Arg("records", stats.records_shuffled)
         .Arg("bytes", stats.bytes_shuffled);
   }
-
-  // Placement hints: schedule reduce task r onto the worker group whose
-  // map tasks produced the plurality of its input (ties to the lowest
-  // group; -1 = no preference). Hints steer scheduling only — results and
-  // error selection are placement-independent — and because retries run
-  // inside one submitted pool closure, a hint stays pinned through every
-  // attempt of its task, including speculative re-execution.
-  std::vector<int> reduce_hints(num_reduce, -1);
-  if (exec_groups > 1) {
-    for (size_t r = 0; r < num_reduce; ++r) {
-      uint64_t best = 0;
-      for (int g = 0; g < exec_groups; ++g) {
-        if (group_records[r][static_cast<size_t>(g)] > best) {
-          best = group_records[r][static_cast<size_t>(g)];
-          reduce_hints[r] = g;
-        }
-      }
-    }
-  }
+  const std::vector<int> reduce_hints = internal::ReduceHints(group_records);
 
   // Stop-condition check at the phase boundary: don't start reducing work
   // that a fired deadline or cancellation has already doomed.
   if (spec.control != nullptr) {
     Status control_status = spec.control->Check();
-    if (!control_status.ok()) return fail_job(std::move(control_status));
+    if (!control_status.ok()) {
+      return internal::FailJob(spec, wall, stats, std::move(control_status));
+    }
   }
 
   // ---- Reduce phase (group + reduce, per task) --------------------------
-  struct ReduceTaskState {
+  struct ReduceTask {
     std::vector<Out> staged;
     std::vector<Out> committed;
     Counters counters;
     uint64_t groups = 0;
-    internal::GroupPath group_path = internal::GroupPath::kSorted;
-    internal::FallbackReason fallback = internal::FallbackReason::kNone;
-    // Reduce-side spill degrade (see GroupBucketOrSpill): the bucket,
-    // sorted and written out as runs so the columnar histogram could run
-    // without it resident. Task-level so a retry regroups from the
-    // existing runs instead of re-spilling an already-freed bucket.
-    std::vector<internal::SpillRunInfo> spill_runs;
-    double group_seconds = 0.0;
-    JobStats stats;
-    std::vector<double> slot_costs;
   };
-  std::vector<ReduceTaskState> reduce_tasks(buckets.size());
+  std::vector<ReduceTask> reduce_tasks(num_reduce);
+  std::vector<internal::ReduceLedger> reduce_ledgers(num_reduce);
   StopWatch reduce_wall;
   Status reduce_status;
   {
     trace::Span phase_span("phase", "reduce");
-    phase_span.Arg("tasks", static_cast<uint64_t>(buckets.size()))
+    phase_span.Arg("tasks", static_cast<uint64_t>(num_reduce))
         .Arg("shuffle", ShuffleModeName(spec.shuffle));
     reduce_status = executor.RunTasks(
-      buckets.size(), [&](size_t index) -> Status {
-        ReduceTaskState& task = reduce_tasks[index];
-        auto& bucket = buckets[index];
+      num_reduce, [&](size_t r) -> Status {
+        const int index = static_cast<int>(r);
+        ReduceTask& task = reduce_tasks[r];
+        internal::ReduceLedger& ledger = reduce_ledgers[r];
         if constexpr (kCheckpointable) {
-          if (spec.checkpoint != nullptr && spec.resume &&
-              spec.checkpoint->HasTask("reduce", static_cast<int>(index))) {
-            trace::Span span("durability", "checkpoint_restore");
-            span.Arg("phase", "reduce")
-                .Arg("task", static_cast<uint64_t>(index));
-            Status restored = [&]() -> Status {
-              DOD_ASSIGN_OR_RETURN(std::string payload,
-                                   spec.checkpoint->LoadTask(
-                                       "reduce", static_cast<int>(index)));
-              PayloadReader reader(payload);
-              DOD_RETURN_IF_ERROR(
-                  DeserializeJobStatsDelta(&reader, &task.stats));
-              DOD_RETURN_IF_ERROR(reader.F64Vec(&task.slot_costs));
-              uint8_t path = 0;
-              DOD_RETURN_IF_ERROR(reader.U8(&path));
-              if (path > static_cast<uint8_t>(
-                             internal::GroupPath::kSortedSpilled)) {
-                return Status::IoError(
-                    "reduce checkpoint has unknown group path");
-              }
-              task.group_path = static_cast<internal::GroupPath>(path);
-              uint8_t reason = 0;
-              DOD_RETURN_IF_ERROR(reader.U8(&reason));
-              if (reason > static_cast<uint8_t>(
-                               internal::FallbackReason::kSpill)) {
-                return Status::IoError(
-                    "reduce checkpoint has unknown fallback reason");
-              }
-              task.fallback = static_cast<internal::FallbackReason>(reason);
-              DOD_RETURN_IF_ERROR(reader.F64(&task.group_seconds));
-              uint64_t count = 0;
-              DOD_RETURN_IF_ERROR(reader.U64(&count));
-              if (count > reader.remaining() / sizeof(Out)) {
-                return Status::IoError(
-                    "reduce checkpoint output overruns payload");
-              }
-              task.committed.resize(static_cast<size_t>(count));
-              DOD_RETURN_IF_ERROR(
-                  reader.Raw(task.committed.data(),
-                             static_cast<size_t>(count) * sizeof(Out)));
-              if (spec.restore_extra) {
-                DOD_RETURN_IF_ERROR(spec.restore_extra(
-                    TaskPhase::kReduce, static_cast<int>(index), reader));
-              }
-              return reader.ExpectDone();
-            }();
-            if (restored.ok()) {
-              span.Arg("status", "ok");
-              dmetrics.Increment(kCkptTasksResumed);
-              return Status::Ok();
-            }
-            span.Arg("status", "failed");
-            dmetrics.Increment(kCkptLoadFailures);
-            DOD_LOG(Warning)
-                << "reduce task " << index << " checkpoint unusable ("
-                << restored.ToString() << "); re-running";
-            task.stats = JobStats();
-            task.slot_costs.clear();
-            task.committed = std::vector<Out>();
-          }
+          const bool restored = internal::RestoreTask(
+              spec, TaskPhase::kReduce, index, &ledger,
+              [&](PayloadReader& reader) -> Status {
+                DOD_RETURN_IF_ERROR(
+                    internal::ReadGroupSummary(reader, &ledger));
+                return internal::ReadRecords(reader, &task.committed);
+              });
+          if (restored) return Status::Ok();
+          task = ReduceTask();
+          ledger = internal::ReduceLedger();
         }
         const Status run_status = runner.RunTask(
-            TaskPhase::kReduce, static_cast<int>(index),
-            /*extra_seconds=*/0.0,
+            TaskPhase::kReduce, index, /*extra_seconds=*/0.0,
             [&](int /*attempt*/) -> Status {
               task.staged.clear();
               task.counters = Counters();
@@ -952,282 +688,66 @@ Result<JobOutput<Out>> RunMapReduce(
               // job output depends on neither the mode nor the spilling.
               StopWatch group_watch;
               internal::GroupScratch<K, V> scratch;
-              std::optional<GroupedView<K, V>> groups;
               std::vector<internal::ShuffleSegment<K, V>> segment_scratch;
-              if (any_spilled) {
-                // Spilled shuffle: group the segment list (memory buckets
-                // of non-spilled map tasks + disk runs of spilled ones).
-                auto grouped = internal::GroupSegments(
-                    segments[index], spec.shuffle, &scratch,
-                    &task.group_path, &task.fallback, spec.memory);
-                if (!grouped.ok()) return grouped.status();
-                groups.emplace(std::move(grouped).value());
-              } else if (spilling) {
-                // In-memory bucket, spill directory available: the budget
-                // guard can degrade to spill-then-stream instead of the
-                // sorted-only fallback.
-                auto grouped = internal::GroupBucketOrSpill(
-                    bucket, spec.shuffle, &scratch, &task.group_path,
-                    &task.fallback, spec.memory, spec.spill,
-                    internal::SpillFilePath(spill_dir, "reduce",
-                                            static_cast<int>(index)),
-                    &spill_gc, &task.spill_runs, &segment_scratch);
-                if (!grouped.ok()) return grouped.status();
-                groups.emplace(std::move(grouped).value());
-              } else {
-                groups.emplace(internal::GroupBucket(bucket, spec.shuffle,
-                                                     &scratch,
-                                                     &task.group_path,
-                                                     spec.memory));
-                task.fallback = internal::ReasonFromPath(task.group_path);
-              }
-              task.group_seconds = group_watch.ElapsedSeconds();
-              DOD_RETURN_IF_ERROR(reducer.TryReduceTask(*groups, task.staged,
-                                                        task.counters));
-              task.groups = groups->num_groups();
+              // A spilled shuffle groups the segment list (memory buckets
+              // of non-spilled map tasks + disk runs of spilled ones). An
+              // in-memory bucket groups directly; with a spill directory,
+              // the budget guard can degrade to spill-then-stream instead
+              // of the sorted-only fallback.
+              Result<GroupedView<K, V>> groups =
+                  any_spilled
+                      ? internal::GroupSegments(
+                            segments[r], spec.shuffle, &scratch,
+                            &ledger.group_path, &ledger.fallback, spec.memory)
+                      : internal::GroupBucketOrSpill(
+                            buckets[r], spec.shuffle, &scratch,
+                            &ledger.group_path, &ledger.fallback, spec.memory,
+                            spec.spill,
+                            internal::SpillFilePath(spill_dir, "reduce", index),
+                            &spill_gc, &ledger.spill_runs, &segment_scratch);
+              if (!groups.ok()) return groups.status();
+              ledger.group_seconds = group_watch.ElapsedSeconds();
+              DOD_RETURN_IF_ERROR(
+                  reducer.Reduce(groups.value(), task.staged, task.counters));
+              task.groups = groups.value().num_groups();
               return Status::Ok();
             },
             [&]() {
               task.committed = std::move(task.staged);
-              task.stats.counters.MergeFrom(task.counters);
-              task.stats.groups_reduced += task.groups;
+              ledger.stats.counters.MergeFrom(task.counters);
+              ledger.stats.groups_reduced += task.groups;
             },
-            task.stats, task.slot_costs);
+            ledger.stats, ledger.slot_costs);
         if (!run_status.ok()) return run_status;
         if constexpr (kCheckpointable) {
-          if (spec.checkpoint != nullptr) {
-            PayloadWriter payload;
-            SerializeJobStatsDelta(task.stats, &payload);
-            payload.F64Vec(task.slot_costs);
-            payload.U8(static_cast<uint8_t>(task.group_path));
-            payload.U8(static_cast<uint8_t>(task.fallback));
-            payload.F64(task.group_seconds);
-            payload.U64(task.committed.size());
-            payload.Raw(task.committed.data(),
-                        task.committed.size() * sizeof(Out));
-            if (spec.checkpoint_extra) {
-              spec.checkpoint_extra(TaskPhase::kReduce,
-                                    static_cast<int>(index), payload);
-            }
-            persist_checkpoint(TaskPhase::kReduce, static_cast<int>(index),
-                               payload);
-          }
+          internal::PersistTask(spec, TaskPhase::kReduce, index, ledger,
+                                [&](PayloadWriter& payload) {
+                                  internal::WriteGroupSummary(ledger, payload);
+                                  internal::WriteRecords(task.committed,
+                                                         payload);
+                                });
         }
-        return maybe_crash(TaskPhase::kReduce, static_cast<int>(index));
+        return internal::MaybeCrash(spec.faults, TaskPhase::kReduce, index);
       },
-      [&](size_t index) { return reduce_hints[index]; });
-  }
-  if (!reduce_status.ok()) {
-    stats.reduce_wall_seconds = reduce_wall.ElapsedSeconds();
-    for (ReduceTaskState& task : reduce_tasks) {
-      stats.MergeFrom(task.stats);
-      stats.reduce_task_seconds.insert(stats.reduce_task_seconds.end(),
-                                       task.slot_costs.begin(),
-                                       task.slot_costs.end());
-    }
-    return fail_job(reduce_status);
+      [&](size_t r) { return reduce_hints[r]; });
   }
   stats.reduce_wall_seconds = reduce_wall.ElapsedSeconds();
+  for (const internal::ReduceLedger& ledger : reduce_ledgers) {
+    internal::FoldTask(TaskPhase::kReduce, ledger, &stats);
+  }
+  if (!reduce_status.ok()) {
+    return internal::FailJob(spec, wall, stats, std::move(reduce_status));
+  }
 
   // Deterministic output commit: reduce-task index order.
-  stats.reduce_task_seconds.reserve(buckets.size());
-  for (ReduceTaskState& task : reduce_tasks) {
-    stats.MergeFrom(task.stats);
-    stats.reduce_task_seconds.insert(stats.reduce_task_seconds.end(),
-                                     task.slot_costs.begin(),
-                                     task.slot_costs.end());
+  for (ReduceTask& task : reduce_tasks) {
     for (Out& out : task.committed) result.output.push_back(std::move(out));
     task.committed = std::vector<Out>();
   }
-
-  // ---- Derive cluster-stage times ---------------------------------------
-  // Blacklisted nodes' slots are gone; the surviving slots absorb all
-  // charged attempt costs (including failures, backoff, and speculation).
-  const int blacklisted = runner.blacklisted_nodes();
-  stats.nodes_blacklisted = static_cast<uint64_t>(blacklisted);
-  stats.stage_times.map_seconds = Makespan(
-      stats.map_task_seconds, spec.cluster.usable_map_slots(blacklisted));
-  stats.stage_times.shuffle_seconds =
-      static_cast<double>(stats.bytes_shuffled) /
-      spec.cluster.ShuffleBytesPerSecond();
-  stats.stage_times.reduce_seconds =
-      Makespan(stats.reduce_task_seconds,
-               spec.cluster.usable_reduce_slots(blacklisted));
-  stats.wall_seconds = wall.ElapsedSeconds();
-
-  // Fold the job's totals into the process-wide metrics registry. Every
-  // value is a sum (or max) of per-task deltas, so — like the JobStats
-  // merge — the recorded metrics are independent of scheduling order.
-  {
-    MetricsRegistry& metrics = MetricsRegistry::Global();
-    static const uint32_t kJobs = metrics.Id("mr.jobs", MetricKind::kCounter);
-    static const uint32_t kMapTasks =
-        metrics.Id("mr.map_tasks", MetricKind::kCounter);
-    static const uint32_t kReduceTasks =
-        metrics.Id("mr.reduce_tasks", MetricKind::kCounter);
-    static const uint32_t kAttempts =
-        metrics.Id("mr.task_attempts", MetricKind::kCounter);
-    static const uint32_t kFailures =
-        metrics.Id("mr.task_failures", MetricKind::kCounter);
-    static const uint32_t kRetries =
-        metrics.Id("mr.task_retries", MetricKind::kCounter);
-    static const uint32_t kSpeculative =
-        metrics.Id("mr.speculative_attempts", MetricKind::kCounter);
-    static const uint32_t kRecords =
-        metrics.Id("mr.records_shuffled", MetricKind::kCounter);
-    static const uint32_t kBytes =
-        metrics.Id("mr.bytes_shuffled", MetricKind::kCounter);
-    static const uint32_t kGroups =
-        metrics.Id("mr.groups_reduced", MetricKind::kCounter);
-    static const uint32_t kShuffleColumnar =
-        metrics.Id("mr.shuffle.columnar_tasks", MetricKind::kCounter);
-    static const uint32_t kShuffleSorted =
-        metrics.Id("mr.shuffle.sorted_tasks", MetricKind::kCounter);
-    static const uint32_t kShuffleFallback =
-        metrics.Id("mr.shuffle.fallback_tasks", MetricKind::kCounter);
-    static const uint32_t kShuffleBudgetFallback =
-        metrics.Id("mr.shuffle.budget_fallback_tasks", MetricKind::kCounter);
-    static const uint32_t kShuffleColumnarSpilled = metrics.Id(
-        "mr.shuffle.columnar_spilled_tasks", MetricKind::kCounter);
-    static const uint32_t kShuffleSortedSpilled =
-        metrics.Id("mr.shuffle.sorted_spilled_tasks", MetricKind::kCounter);
-    // Reason-labeled fallback counters: which guard pushed a columnar-
-    // requested task off the counting-sort fast path (see FallbackReason).
-    static const uint32_t kFallbackDensity =
-        metrics.Id("mr.shuffle.fallback.density", MetricKind::kCounter);
-    static const uint32_t kFallbackBudget =
-        metrics.Id("mr.shuffle.fallback.budget", MetricKind::kCounter);
-    static const uint32_t kFallbackSpill =
-        metrics.Id("mr.shuffle.fallback.spill", MetricKind::kCounter);
-    static const uint32_t kShuffleGroupSeconds =
-        metrics.Id("mr.shuffle.group_seconds", MetricKind::kHistogram);
-    static const uint32_t kSpillMapTasks =
-        metrics.Id("mr.spill.map_tasks", MetricKind::kCounter);
-    static const uint32_t kSpillReduceTasks =
-        metrics.Id("mr.spill.reduce_tasks", MetricKind::kCounter);
-    static const uint32_t kSpillRunsWritten =
-        metrics.Id("mr.spill.runs_written", MetricKind::kCounter);
-    static const uint32_t kSpillBytesWritten =
-        metrics.Id("mr.spill.bytes_written", MetricKind::kCounter);
-    static const uint32_t kSpillRunsMerged =
-        metrics.Id("mr.spill.runs_merged", MetricKind::kCounter);
-    static const uint32_t kSpillBytesRead =
-        metrics.Id("mr.spill.bytes_read", MetricKind::kCounter);
-    static const uint32_t kSpillRunRecords =
-        metrics.Id("mr.spill.run_records", MetricKind::kHistogram);
-    static const uint32_t kWorkerGroups =
-        metrics.Id("runtime.worker_groups", MetricKind::kGauge);
-    static const uint32_t kStealLocal =
-        metrics.Id("runtime.steal.local", MetricKind::kCounter);
-    static const uint32_t kStealRemote =
-        metrics.Id("runtime.steal.remote", MetricKind::kCounter);
-    static const uint32_t kThreads =
-        metrics.Id("mr.threads_used", MetricKind::kGauge);
-    static const uint32_t kMapSlot =
-        metrics.Id("mr.map_slot_seconds", MetricKind::kHistogram);
-    static const uint32_t kReduceSlot =
-        metrics.Id("mr.reduce_slot_seconds", MetricKind::kHistogram);
-    static const uint32_t kJobWall =
-        metrics.Id("mr.job_wall_seconds", MetricKind::kHistogram);
-    metrics.Increment(kJobs);
-    metrics.Increment(kMapTasks, static_cast<uint64_t>(num_splits));
-    metrics.Increment(kReduceTasks, static_cast<uint64_t>(buckets.size()));
-    metrics.Increment(kAttempts, stats.task_attempts);
-    metrics.Increment(kFailures, stats.task_failures);
-    metrics.Increment(kRetries, stats.task_retries);
-    metrics.Increment(kSpeculative, stats.speculative_attempts);
-    metrics.Increment(kRecords, stats.records_shuffled);
-    metrics.Increment(kBytes, stats.bytes_shuffled);
-    metrics.Increment(kGroups, stats.groups_reduced);
-    for (const ReduceTaskState& task : reduce_tasks) {
-      switch (task.group_path) {
-        case internal::GroupPath::kColumnar:
-          metrics.Increment(kShuffleColumnar);
-          break;
-        case internal::GroupPath::kSorted:
-          metrics.Increment(kShuffleSorted);
-          break;
-        case internal::GroupPath::kSortedFallback:
-          metrics.Increment(kShuffleFallback);
-          break;
-        case internal::GroupPath::kSortedBudget:
-          metrics.Increment(kShuffleBudgetFallback);
-          metrics.Increment(kBudgetShuffleFallbacks);
-          break;
-        case internal::GroupPath::kColumnarSpilled:
-          metrics.Increment(kShuffleColumnarSpilled);
-          break;
-        case internal::GroupPath::kSortedSpilled:
-          metrics.Increment(kShuffleSortedSpilled);
-          break;
-      }
-      switch (task.fallback) {
-        case internal::FallbackReason::kNone:
-          break;
-        case internal::FallbackReason::kDensity:
-          metrics.Increment(kFallbackDensity);
-          break;
-        case internal::FallbackReason::kBudget:
-          metrics.Increment(kFallbackBudget);
-          break;
-        case internal::FallbackReason::kSpill:
-          metrics.Increment(kFallbackSpill);
-          break;
-      }
-      metrics.Observe(kShuffleGroupSeconds, task.group_seconds);
-    }
-    // Spill accounting, from the committed run descriptors — failed
-    // attempts' truncated files never show up here.
-    for (const MapTaskState& task : map_tasks) {
-      if (task.runs.empty()) continue;
-      metrics.Increment(kSpillMapTasks);
-      for (const internal::SpillRunInfo& run : task.runs) {
-        metrics.Increment(kSpillRunsWritten);
-        metrics.Increment(kSpillBytesWritten, run.bytes);
-        metrics.Observe(kSpillRunRecords,
-                        static_cast<double>(run.records));
-      }
-    }
-    for (const ReduceTaskState& task : reduce_tasks) {
-      if (task.spill_runs.empty()) continue;
-      metrics.Increment(kSpillReduceTasks);
-      for (const internal::SpillRunInfo& run : task.spill_runs) {
-        metrics.Increment(kSpillRunsWritten);
-        metrics.Increment(kSpillBytesWritten, run.bytes);
-        metrics.Observe(kSpillRunRecords,
-                        static_cast<double>(run.records));
-        metrics.Increment(kSpillRunsMerged);
-        metrics.Increment(kSpillBytesRead, run.bytes);
-      }
-    }
-    for (const auto& segment_list : segments) {
-      for (const internal::ShuffleSegment<K, V>& segment : segment_list) {
-        if (segment.run == nullptr) continue;
-        metrics.Increment(kSpillRunsMerged);
-        metrics.Increment(kSpillBytesRead, segment.run->bytes);
-      }
-    }
-    metrics.SetMax(kWorkerGroups, static_cast<double>(exec_groups));
-    // Steal-locality scorecard of this job's pool. Scheduling-dependent,
-    // hence exempt from the metric-determinism contract (observability
-    // tests treat the runtime.steal.* prefix like timing metrics).
-    metrics.Increment(kStealLocal, executor.local_steals());
-    metrics.Increment(kStealRemote, executor.remote_steals());
-    metrics.SetMax(kThreads, static_cast<double>(stats.threads_used));
-    for (double seconds : stats.map_task_seconds) {
-      metrics.Observe(kMapSlot, seconds);
-    }
-    for (double seconds : stats.reduce_task_seconds) {
-      metrics.Observe(kReduceSlot, seconds);
-    }
-    metrics.Observe(kJobWall, stats.wall_seconds);
-    if (spec.memory != nullptr) {
-      metrics.SetMax(kBudgetPeakBytes,
-                     static_cast<double>(spec.memory->peak_bytes()));
-    }
-  }
+  internal::FinishJob(spec, runner.blacklisted_nodes(), wall, map_ledgers,
+                      reduce_ledgers, executor, &stats);
   // The job committed: its spill runs are garbage now even when a
-  // checkpoint store references them (see set_keep_files above).
+  // checkpoint store references them (see BeginJob).
   spill_gc.set_keep_files(false);
   return result;
 }

@@ -26,10 +26,8 @@
 // schedules.
 //
 // Reducers consume groups through GroupedView, a zero-copy cursor over
-// either backing layout. The engine's default reduce loop copies each
-// group's values into a scratch vector for the legacy Reducer::TryReduce
-// contract; task-at-a-time reducers (Reducer::TryReduceTask overrides)
-// read values in place.
+// either backing layout: Reducer::Reduce reads every group's values in
+// place.
 
 #ifndef DOD_MAPREDUCE_SHUFFLE_H_
 #define DOD_MAPREDUCE_SHUFFLE_H_

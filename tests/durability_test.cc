@@ -186,9 +186,10 @@ struct KeySum {
 class RangeMapper : public Mapper<int, int> {
  public:
   explicit RangeMapper(int per_split) : per_split_(per_split) {}
-  void Map(size_t split_index, Emitter<int, int>& out) override {
+  Status Map(size_t split_index, Emitter<int, int>& out) override {
     const int base = static_cast<int>(split_index) * per_split_;
     for (int v = base; v < base + per_split_; ++v) out.Emit(v % 7, v);
+    return Status::Ok();
   }
 
  private:
@@ -197,12 +198,15 @@ class RangeMapper : public Mapper<int, int> {
 
 class SumReducer : public Reducer<int, int, KeySum> {
  public:
-  void Reduce(const int& key, std::vector<int>& values,
-              std::vector<KeySum>& out, Counters& counters) override {
-    int64_t sum = 0;
-    for (int v : values) sum += v;
-    out.push_back(KeySum{key, sum});
-    counters.Increment("groups_seen");
+  Status Reduce(const GroupedView<int, int>& groups,
+                std::vector<KeySum>& out, Counters& counters) override {
+    for (size_t g = 0; g < groups.num_groups(); ++g) {
+      int64_t sum = 0;
+      for (size_t i = 0; i < groups.size(g); ++i) sum += groups.value(g, i);
+      out.push_back(KeySum{groups.key(g), sum});
+      counters.Increment("groups_seen");
+    }
+    return Status::Ok();
   }
 };
 
@@ -325,9 +329,9 @@ TEST(EngineDurabilityTest, CorruptedCheckpointSelfHealsByRerunning) {
 TEST(EngineDurabilityTest, CheckpointRequiresTriviallyCopyableTypes) {
   class StringReducer : public Reducer<int, int, std::string> {
    public:
-    void Reduce(const int& key, std::vector<int>&, std::vector<std::string>&,
-                Counters&) override {
-      (void)key;
+    Status Reduce(const GroupedView<int, int>&, std::vector<std::string>&,
+                  Counters&) override {
+      return Status::Ok();
     }
   };
   const std::string dir = FreshDir("nonpod");
@@ -349,9 +353,10 @@ TEST(EngineDurabilityTest, CancellationSkipsRetriesAndFillsPartialStats) {
    public:
     explicit CancellingReducer(CancellationToken token)
         : token_(std::move(token)) {}
-    void Reduce(const int&, std::vector<int>&, std::vector<KeySum>&,
-                Counters&) override {
+    Status Reduce(const GroupedView<int, int>&, std::vector<KeySum>&,
+                  Counters&) override {
       token_.Cancel();
+      return Status::Ok();
     }
 
    private:
@@ -378,11 +383,8 @@ TEST(EngineDurabilityTest, CancellationSkipsRetriesAndFillsPartialStats) {
 TEST(EngineDurabilityTest, TerminalStatusBypassesRetryBudget) {
   class ExhaustedReducer : public Reducer<int, int, KeySum> {
    public:
-    void Reduce(const int&, std::vector<int>&, std::vector<KeySum>&,
-                Counters&) override {}
-    Status TryReduceTask(const GroupedView<int, int>& groups,
-                         std::vector<KeySum>&, Counters&) override {
-      (void)groups;
+    Status Reduce(const GroupedView<int, int>&, std::vector<KeySum>&,
+                  Counters&) override {
       return Status::ResourceExhausted("synthetic budget failure");
     }
   };

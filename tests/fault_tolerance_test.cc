@@ -27,11 +27,12 @@ class ModMapper : public Mapper<int, int> {
  public:
   explicit ModMapper(int per_split) : per_split_(per_split) {}
 
-  void Map(size_t split_index, Emitter<int, int>& out) override {
+  Status Map(size_t split_index, Emitter<int, int>& out) override {
     const int base = static_cast<int>(split_index) * per_split_;
     for (int v = base; v < base + per_split_; ++v) {
       out.Emit(v % 10, v);
     }
+    return Status::Ok();
   }
 
  private:
@@ -48,10 +49,14 @@ struct KeyCount {
 
 class CountReducer : public Reducer<int, int, KeyCount> {
  public:
-  void Reduce(const int& key, std::vector<int>& values,
-              std::vector<KeyCount>& out, Counters& counters) override {
-    out.push_back(KeyCount{key, static_cast<int>(values.size())});
-    counters.Increment("groups_seen");
+  Status Reduce(const GroupedView<int, int>& groups,
+                std::vector<KeyCount>& out, Counters& counters) override {
+    for (size_t g = 0; g < groups.num_groups(); ++g) {
+      out.push_back(
+          KeyCount{groups.key(g), static_cast<int>(groups.size(g))});
+      counters.Increment("groups_seen");
+    }
+    return Status::Ok();
   }
 };
 
@@ -126,10 +131,10 @@ TEST(FaultToleranceTest, ExhaustedRetriesReturnStructuredErrorNotAbort) {
   EXPECT_NE(message.find("task-failure"), std::string::npos) << message;
 }
 
-TEST(FaultToleranceTest, UserTryMapStatusPropagatesWithTaskContext) {
+TEST(FaultToleranceTest, UserMapStatusPropagatesWithTaskContext) {
   class PoisonSplitMapper : public Mapper<int, int> {
    public:
-    Status TryMap(size_t split_index, Emitter<int, int>& out) override {
+    Status Map(size_t split_index, Emitter<int, int>& out) override {
       if (split_index == 2) return Status::Internal("checksum mismatch");
       out.Emit(static_cast<int>(split_index), 1);
       return Status::Ok();

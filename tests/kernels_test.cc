@@ -19,7 +19,6 @@
 #include "detection/brute_force.h"
 #include "detection/cell_based.h"
 #include "detection/nested_loop.h"
-#include "detection/pivot.h"
 #include "extensions/dbscan.h"
 #include "extensions/knn_outliers.h"
 #include "kernels/distance_kernels.h"
@@ -308,7 +307,6 @@ TEST(KernelEquivalenceTest, DetectorsMatchScalarAcrossDims) {
       for (size_t num_core :
            {data.size(), data.size() * 3 / 4, size_t{0}}) {
         NestedLoopDetector nested;
-        PivotDetector pivot(4);
         BruteForceDetector brute;
         const std::vector<uint32_t> want =
             Detect(brute, data, num_core, params, KernelMode::kScalar);
@@ -318,8 +316,6 @@ TEST(KernelEquivalenceTest, DetectorsMatchScalarAcrossDims) {
           SCOPED_TRACE(KernelModeName(mode));
           EXPECT_EQ(Detect(nested, data, num_core, params, mode), want)
               << "nested dims=" << dims << " n=" << data.size();
-          EXPECT_EQ(Detect(pivot, data, num_core, params, mode), want)
-              << "pivot dims=" << dims << " n=" << data.size();
         }
         // The cell-based grid enumerates (2·ring+1)^d cells per verdict;
         // keep its sweep to the dimensions where that stays tractable.

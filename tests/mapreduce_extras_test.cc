@@ -22,13 +22,15 @@ JobSpec LocalSpec(int reducers, int slots = 4) {
 
 class NullMapper : public Mapper<int, int> {
  public:
-  void Map(size_t, Emitter<int, int>&) override {}
+  Status Map(size_t, Emitter<int, int>&) override { return Status::Ok(); }
 };
 
 class NullReducer : public Reducer<int, int, int> {
  public:
-  void Reduce(const int&, std::vector<int>&, std::vector<int>&,
-              Counters&) override {}
+  Status Reduce(const GroupedView<int, int>&, std::vector<int>&,
+                Counters&) override {
+    return Status::Ok();
+  }
 };
 
 TEST(EngineIoChargeTest, SplitBytesRaiseMapStageTime) {
@@ -70,18 +72,22 @@ TEST(EngineIoChargeTest, MissingEntriesAreUncharged) {
 // A job with string keys and move-only-ish payloads.
 class WordMapper : public Mapper<std::string, int> {
  public:
-  void Map(size_t split, Emitter<std::string, int>& out) override {
+  Status Map(size_t split, Emitter<std::string, int>& out) override {
     const char* words[] = {"outlier", "inlier", "outlier", "support"};
     out.Emit(words[split % 4], 1);
     out.Emit("outlier", 1);
+    return Status::Ok();
   }
 };
 
 class WordReducer : public Reducer<std::string, int, std::string> {
  public:
-  void Reduce(const std::string& key, std::vector<int>& values,
-              std::vector<std::string>& out, Counters&) override {
-    out.push_back(key + ":" + std::to_string(values.size()));
+  Status Reduce(const GroupedView<std::string, int>& groups,
+                std::vector<std::string>& out, Counters&) override {
+    for (size_t g = 0; g < groups.num_groups(); ++g) {
+      out.push_back(groups.key(g) + ":" + std::to_string(groups.size(g)));
+    }
+    return Status::Ok();
   }
 };
 

@@ -19,11 +19,12 @@ class ModMapper : public Mapper<int, int> {
  public:
   explicit ModMapper(int per_split) : per_split_(per_split) {}
 
-  void Map(size_t split_index, Emitter<int, int>& out) override {
+  Status Map(size_t split_index, Emitter<int, int>& out) override {
     const int base = static_cast<int>(split_index) * per_split_;
     for (int v = base; v < base + per_split_; ++v) {
       out.Emit(v % 10, v);
     }
+    return Status::Ok();
   }
 
  private:
@@ -40,10 +41,14 @@ struct KeyCount {
 
 class CountReducer : public Reducer<int, int, KeyCount> {
  public:
-  void Reduce(const int& key, std::vector<int>& values,
-              std::vector<KeyCount>& out, Counters& counters) override {
-    out.push_back(KeyCount{key, static_cast<int>(values.size())});
-    counters.Increment("groups_seen");
+  Status Reduce(const GroupedView<int, int>& groups,
+                std::vector<KeyCount>& out, Counters& counters) override {
+    for (size_t g = 0; g < groups.num_groups(); ++g) {
+      out.push_back(
+          KeyCount{groups.key(g), static_cast<int>(groups.size(g))});
+      counters.Increment("groups_seen");
+    }
+    return Status::Ok();
   }
 };
 
@@ -111,9 +116,12 @@ TEST(MapReduceJobTest, ReducerSeesKeysSorted) {
 TEST(MapReduceJobTest, ValuesPreserveEmissionOrderWithinKey) {
   class FirstValueReducer : public Reducer<int, int, int> {
    public:
-    void Reduce(const int&, std::vector<int>& values, std::vector<int>& out,
-                Counters&) override {
-      out.push_back(values.front());
+    Status Reduce(const GroupedView<int, int>& groups, std::vector<int>& out,
+                  Counters&) override {
+      for (size_t g = 0; g < groups.num_groups(); ++g) {
+        out.push_back(groups.value(g, 0));
+      }
+      return Status::Ok();
     }
   };
   ModMapper mapper(100);
@@ -143,7 +151,7 @@ TEST(MapReduceJobTest, DeterministicOutputAcrossRuns) {
 TEST(MapReduceJobTest, EmptyInputProducesEmptyOutput) {
   class NullMapper : public Mapper<int, int> {
    public:
-    void Map(size_t, Emitter<int, int>&) override {}
+    Status Map(size_t, Emitter<int, int>&) override { return Status::Ok(); }
   };
   NullMapper mapper;
   CountReducer reducer;

@@ -541,9 +541,10 @@ TEST(MergeOrderTest, JobStatsMergeTotalsAreOrderIndependent) {
 
 class ModMapper : public Mapper<int, int> {
  public:
-  void Map(size_t split_index, Emitter<int, int>& out) override {
+  Status Map(size_t split_index, Emitter<int, int>& out) override {
     const int base = static_cast<int>(split_index) * 100;
     for (int v = base; v < base + 100; ++v) out.Emit(v % 10, v);
+    return Status::Ok();
   }
 };
 
@@ -557,10 +558,14 @@ struct KeyCount {
 
 class CountReducer : public Reducer<int, int, KeyCount> {
  public:
-  void Reduce(const int& key, std::vector<int>& values,
-              std::vector<KeyCount>& out, Counters& counters) override {
-    out.push_back(KeyCount{key, static_cast<int>(values.size())});
-    counters.Increment("groups_seen");
+  Status Reduce(const GroupedView<int, int>& groups,
+                std::vector<KeyCount>& out, Counters& counters) override {
+    for (size_t g = 0; g < groups.num_groups(); ++g) {
+      out.push_back(
+          KeyCount{groups.key(g), static_cast<int>(groups.size(g))});
+      counters.Increment("groups_seen");
+    }
+    return Status::Ok();
   }
 };
 
@@ -619,7 +624,7 @@ TEST(ParallelDeterminismTest, MoreThreadsThanTasksIsFine) {
 TEST(ParallelDeterminismTest, UserErrorsSurfaceIdenticallyInParallel) {
   class PoisonSplitMapper : public Mapper<int, int> {
    public:
-    Status TryMap(size_t split_index, Emitter<int, int>& out) override {
+    Status Map(size_t split_index, Emitter<int, int>& out) override {
       if (split_index >= 2) {
         return Status::Internal("bad split " + std::to_string(split_index));
       }

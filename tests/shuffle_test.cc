@@ -15,6 +15,8 @@
 #include <filesystem>
 #include <fstream>
 #include <memory>
+#include <mutex>
+#include <set>
 #include <string>
 #include <tuple>
 #include <utility>
@@ -31,6 +33,7 @@
 #include "detection/partition_view.h"
 #include "durability/checkpoint.h"
 #include "durability/memory_budget.h"
+#include "durability/payload.h"
 #include "mapreduce/job.h"
 #include "mapreduce/spill.h"
 #include "observability/metrics.h"
@@ -218,9 +221,10 @@ TEST(ShuffleGroupingTest, ModeNamesRoundTrip) {
 
 class SpreadMapper : public Mapper<int, int> {
  public:
-  void Map(size_t split_index, Emitter<int, int>& out) override {
+  Status Map(size_t split_index, Emitter<int, int>& out) override {
     const int base = static_cast<int>(split_index) * 60;
     for (int v = base; v < base + 60; ++v) out.Emit(v % 17, v);
+    return Status::Ok();
   }
 };
 
@@ -234,24 +238,34 @@ struct GroupDigest {
 
 class DigestReducer : public Reducer<int, int, GroupDigest> {
  public:
-  void Reduce(const int& key, std::vector<int>& values,
-              std::vector<GroupDigest>& out, Counters& counters) override {
-    out.push_back(GroupDigest{key, values});
-    counters.Increment("groups_seen");
-    counters.Increment("values_seen", values.size());
+  Status Reduce(const GroupedView<int, int>& groups,
+                std::vector<GroupDigest>& out, Counters& counters) override {
+    for (size_t g = 0; g < groups.num_groups(); ++g) {
+      GroupDigest digest{groups.key(g), {}};
+      for (size_t i = 0; i < groups.size(g); ++i) {
+        digest.values.push_back(groups.value(g, i));
+      }
+      out.push_back(std::move(digest));
+      counters.Increment("groups_seen");
+      counters.Increment("values_seen", groups.size(g));
+    }
+    return Status::Ok();
   }
 };
 
+template <typename Partition>
 JobOutput<GroupDigest> RunDigestJob(const JobSpec& spec,
-                                    const std::vector<int>* dense = nullptr) {
+                                    const Partition& partition) {
   SpreadMapper mapper;
   DigestReducer reducer;
   return RunMapReduce<int, int, GroupDigest>(
-             /*num_splits=*/7, mapper, reducer,
-             [](const int& key) { return key % 4; }, spec,
-             /*record_bytes=*/sizeof(int) + sizeof(int),
-             /*record_bytes_fn=*/{}, dense)
+             /*num_splits=*/7, mapper, reducer, partition, spec,
+             /*record_bytes=*/sizeof(int) + sizeof(int))
       .ValueOrDie();
+}
+
+JobOutput<GroupDigest> RunDigestJob(const JobSpec& spec) {
+  return RunDigestJob(spec, [](const int& key) { return key % 4; });
 }
 
 // Checkpointing stores outputs as raw bytes, so the crash-resume spill
@@ -267,12 +281,15 @@ struct SpillKeySum {
 
 class SpillSumReducer : public Reducer<int, int, SpillKeySum> {
  public:
-  void Reduce(const int& key, std::vector<int>& values,
-              std::vector<SpillKeySum>& out, Counters& counters) override {
-    int64_t sum = 0;
-    for (int v : values) sum += v;
-    out.push_back(SpillKeySum{key, sum});
-    counters.Increment("groups_seen");
+  Status Reduce(const GroupedView<int, int>& groups,
+                std::vector<SpillKeySum>& out, Counters& counters) override {
+    for (size_t g = 0; g < groups.num_groups(); ++g) {
+      int64_t sum = 0;
+      for (size_t i = 0; i < groups.size(g); ++i) sum += groups.value(g, i);
+      out.push_back(SpillKeySum{groups.key(g), sum});
+      counters.Increment("groups_seen");
+    }
+    return Status::Ok();
   }
 };
 
@@ -356,14 +373,17 @@ TEST(ShuffleEngineTest, ModesAgreeAcrossThreadsAndFaults) {
   }
 }
 
-TEST(ShuffleEngineTest, DensePartitionTableMatchesPartitionFunction) {
+TEST(ShuffleEngineTest, PartitionTableMatchesPartitionFunction) {
+  // The pipeline routes through a lambda over its allocation table; the
+  // engine must treat it exactly like any other partition callable.
   JobSpec spec = DigestSpec(ShuffleMode::kColumnar, 4, FaultSpec{});
   spec.split_record_hints.assign(7, 60);  // exercise bucket pre-sizing too
   std::vector<int> table(17);
   for (int key = 0; key < 17; ++key) table[key] = key % 4;
 
   const JobOutput<GroupDigest> via_function = RunDigestJob(spec);
-  const JobOutput<GroupDigest> via_table = RunDigestJob(spec, &table);
+  const JobOutput<GroupDigest> via_table = RunDigestJob(
+      spec, [&table](const int& key) { return table.at(key); });
 
   EXPECT_EQ(via_table.output, via_function.output);
   EXPECT_EQ(via_table.stats.records_shuffled,
@@ -1069,6 +1089,68 @@ TEST(ShuffleSpillTest, SpilledRunsMatchInMemoryAcrossModesThreadsAndFaults) {
   }
 }
 
+// The task-level retry contract: an attempt that fails with a retryable
+// (non-terminal) status after staging output and counters leaves no trace;
+// the task's next attempt regroups the same input and commits exactly what
+// a clean run commits.
+class FlakyDigestReducer : public Reducer<int, int, GroupDigest> {
+ public:
+  Status Reduce(const GroupedView<int, int>& groups,
+                std::vector<GroupDigest>& out, Counters& counters) override {
+    DOD_RETURN_IF_ERROR(inner_.Reduce(groups, out, counters));
+    if (groups.num_groups() == 0) return Status::Ok();
+    // The first key identifies the task (keys route by key % 4).
+    std::lock_guard<std::mutex> lock(mutex_);
+    if (failed_tasks_.insert(groups.key(0) % 4).second) {
+      return Status::Unavailable("flaky reducer: first attempt of task");
+    }
+    return Status::Ok();
+  }
+
+ private:
+  DigestReducer inner_;
+  std::mutex mutex_;
+  std::set<int> failed_tasks_;
+};
+
+TEST(ShuffleSpillTest, ReduceRetriesAfterRetryableErrorCommitExactOutput) {
+  ASSERT_FALSE(IsTerminalTaskStatus(StatusCode::kUnavailable));
+  const JobOutput<GroupDigest> baseline =
+      RunDigestJob(DigestSpec(ShuffleMode::kSorted, 1, FaultSpec{}));
+  const std::string dir = FreshSpillDir("flaky_reduce");
+  for (ShuffleMode mode : {ShuffleMode::kSorted, ShuffleMode::kColumnar}) {
+    for (int threads : {1, 4}) {
+      for (bool spill : {false, true}) {
+        const std::string label = std::string(ShuffleModeName(mode)) +
+                                  " threads=" + std::to_string(threads) +
+                                  " spill=" + std::to_string(spill);
+        JobSpec spec =
+            spill ? SpilledDigestSpec(mode, threads, FaultSpec{}, dir, 128)
+                  : DigestSpec(mode, threads, FaultSpec{});
+        spec.retry.max_task_attempts = 2;
+        SpreadMapper mapper;
+        FlakyDigestReducer reducer;
+        const JobOutput<GroupDigest> job =
+            RunMapReduce<int, int, GroupDigest>(
+                /*num_splits=*/7, mapper, reducer,
+                [](const int& key) { return key % 4; }, spec,
+                /*record_bytes=*/sizeof(int) + sizeof(int))
+                .ValueOrDie();
+        EXPECT_EQ(job.output, baseline.output) << label;
+        EXPECT_EQ(job.stats.counters.values(),
+                  baseline.stats.counters.values())
+            << label;
+        EXPECT_EQ(job.stats.groups_reduced, baseline.stats.groups_reduced)
+            << label;
+        // Each of the 4 reduce tasks failed exactly once.
+        EXPECT_EQ(job.stats.task_failures, 4u) << label;
+        EXPECT_EQ(job.stats.task_retries, 4u) << label;
+        EXPECT_EQ(SpillFilesIn(dir), 0u) << label;
+      }
+    }
+  }
+}
+
 TEST(ShuffleSpillTest, SpillMetricsAndPathsAreRecorded) {
   const std::string dir = FreshSpillDir("metrics");
   MetricsRegistry& metrics = MetricsRegistry::Global();
@@ -1104,9 +1186,10 @@ TEST(ShuffleSpillTest, SpillMetricsAndPathsAreRecorded) {
 // threshold, is what pushes these tasks off the counting-sort path.
 class SparseKeyMapper : public Mapper<int, int> {
  public:
-  void Map(size_t split_index, Emitter<int, int>& out) override {
+  Status Map(size_t split_index, Emitter<int, int>& out) override {
     const int base = static_cast<int>(split_index) * 10;
     for (int v = base; v < base + 10; ++v) out.Emit(v * 1000000, v);
+    return Status::Ok();
   }
 };
 
@@ -1216,6 +1299,81 @@ TEST(ShuffleSpillTest, CrashResumeRestoresSpilledCheckpointsExactly) {
     EXPECT_GT(MetricCount(after, "durability.checkpoint.tasks_resumed"), 0u)
         << tag;
     EXPECT_EQ(SpillFilesIn(dir), 0u) << tag;
+  }
+}
+
+// A map checkpoint whose spill-run descriptor disagrees with itself or its
+// file must be discarded like any other unusable record: the map task
+// re-runs and the job matches a clean run. Both descriptors below pass a
+// partition check and an unchecked "offset + bytes <= file size" test;
+// restored on those checks alone, they failed every reduce attempt.
+TEST(ShuffleSpillTest, ResumeDiscardsInconsistentSpillRunDescriptors) {
+  const JobOutput<SpillKeySum> baseline =
+      RunSumJob(DigestSpec(ShuffleMode::kColumnar, 1, FaultSpec{}))
+          .ValueOrDie();
+  struct BadRun {
+    const char* name;
+    uint64_t file_bytes;
+    uint64_t records;
+    uint64_t offset;
+    uint64_t bytes;
+  };
+  const BadRun bad_runs[] = {
+      // 2^61 records claimed over zero payload bytes.
+      {"records", 1, uint64_t{1} << 61, 0, 0},
+      // offset + bytes wraps around to 8, inside the 16-byte file.
+      {"wrap", 16, 2, ~uint64_t{0} - 7, 16},
+  };
+  for (ShuffleMode mode : {ShuffleMode::kSorted, ShuffleMode::kColumnar}) {
+    for (const BadRun& bad : bad_runs) {
+      const std::string tag =
+          std::string(ShuffleModeName(mode)) + "_" + bad.name;
+      const std::string dir = FreshSpillDir(("bad_run_" + tag).c_str());
+      const std::string ckpt = dir + "_ckpt";
+      const std::string run_file = dir + "_bogus.runs";
+      std::error_code ec;
+      std::filesystem::remove_all(ckpt, ec);
+      {
+        std::ofstream file(run_file, std::ios::binary | std::ios::trunc);
+        file << std::string(bad.file_bytes, '\0');
+      }
+      {
+        // Map task 0's record, hand-built in the checkpoint layout: stats
+        // delta, slot costs, the spilled flag and one run descriptor.
+        PayloadWriter payload;
+        SerializeJobStatsDelta(JobStats(), &payload);
+        payload.F64Vec({});
+        payload.U8(1);
+        payload.U64(1);
+        payload.String(run_file);
+        payload.U32(0);  // partition
+        payload.U64(bad.records);
+        payload.U64(bad.offset);
+        payload.U64(bad.bytes);
+        payload.U64(0);  // checksum
+        payload.U64(0);  // min key
+        payload.U64(0);  // max key
+        auto store = CheckpointStore::Open(ckpt, "sum", /*resume=*/false)
+                         .ValueOrDie();
+        ASSERT_TRUE(store->CommitTask("map", 0, payload.str()).ok()) << tag;
+      }
+      MetricsRegistry& metrics = MetricsRegistry::Global();
+      metrics.Reset();
+      auto store =
+          CheckpointStore::Open(ckpt, "sum", /*resume=*/true).ValueOrDie();
+      JobSpec resuming =
+          SpilledDigestSpec(mode, 1, FaultSpec{}, dir, /*threshold=*/128);
+      resuming.checkpoint = store.get();
+      resuming.resume = true;
+      const Result<JobOutput<SpillKeySum>> resumed = RunSumJob(resuming);
+      ASSERT_TRUE(resumed.ok()) << tag << ": " << resumed.status().ToString();
+      EXPECT_EQ(resumed.value().output, baseline.output) << tag;
+      EXPECT_GE(MetricCount(metrics.Snapshot(),
+                            "durability.checkpoint.load_failures"),
+                1u)
+          << tag;
+      std::filesystem::remove(run_file, ec);
+    }
   }
 }
 
