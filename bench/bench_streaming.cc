@@ -2,27 +2,24 @@
 //
 // Streaming benchmarks, three regimes:
 //
-// 1. Incremental re-detection vs from-scratch — the case for the dirty-cell
-//    rule. A sliding window of spatially localized blocks (traffic
-//    concentrated in a small patch per round, the small-delta regime
-//    streams are built for) is advanced one block per round:
+// 1. Incremental vs from-scratch under localized traffic — the case for
+//    carrying per-point neighbor counts across rounds. A sliding window of
+//    spatially localized blocks (traffic concentrated in a small patch per
+//    round, the small-delta regime streams are built for) is advanced one
+//    block per round:
 //
-//      * incremental: one long-lived StreamingDetector Feed per round
-//        (summaries off — this measures PR 7's dirty-cell re-detection);
+//      * incremental: one long-lived StreamingDetector Feed per round;
 //      * from-scratch: a fresh StreamingDetector fed the whole window as
-//        one block — the same detectors, arena staging and threading, but
-//        every cell dirty, which is exactly what a batch re-run costs.
+//        one block — the same kernels, arena staging and threading, but
+//        every point counted, which is exactly what a batch re-run costs.
 //
-// 2. Summary maintenance vs re-detection — the case for carrying
-//    per-point neighbor counts across rounds. Diffuse traffic (blocks
-//    uniform over the whole domain) makes the dirty set approach every
-//    resident cell, so re-detection degenerates toward from-scratch while
-//    the summary path stays O(block × ring): two long-lived services
-//    consume the identical schedule, one with summaries on and one off. A
-//    third service consumes it through a time-based window (timestamps =
-//    round index, window_seconds = window_blocks — the same resident set
-//    every round) to pin the time-window configuration to the same
-//    verdicts.
+// 2. The same comparison under diffuse traffic: blocks uniform over the
+//    whole domain, so every round touches cells everywhere and the dirty
+//    set approaches every resident cell, while the per-round work stays
+//    O(block × ring). A third service consumes the schedule through a
+//    time-based window (timestamps = round index, window_seconds =
+//    window_blocks — the same resident set every round) to pin the
+//    time-window configuration to the same verdicts.
 //
 // 3. Reorder-buffer overhead — the price of out-of-order admission. The
 //    diffuse schedule is jitter-shuffled within a lateness bound and
@@ -32,8 +29,8 @@
 // Outlier sets are asserted identical across every paired round (speed
 // must never buy a different answer). Emits BENCH_streaming.json with
 // rounds/sec per mode, the speedups and the mean dirty-cell fraction; CI
-// smoke-checks small_delta_speedup (regime 1) and
-// small_delta_speedup_summaries (regime 2).
+// smoke-checks small_delta_speedup (regime 1) and diffuse_speedup
+// (regime 2).
 
 #include <cmath>
 #include <cstdio>
@@ -77,27 +74,40 @@ void MustFeed(StreamingDetector& detector, const StreamBlock& block,
   }
 }
 
+// A sliding-window block schedule over [0, domain)^2. Each block lands in
+// one random patch × patch square; patch == domain makes blocks diffuse.
 struct Workload {
   size_t block_size = 0;
   size_t window_blocks = 0;
+  double domain = 0.0;
+  double patch = 0.0;
   std::deque<StreamBlock> window;  // current resident blocks, oldest first
-  dod::Rng rng{0x57AE};
+  dod::Rng rng;
   uint64_t next_id = 0;
+  uint64_t round = 0;
 
-  explicit Workload(size_t block_size, size_t window_points)
+  Workload(size_t block_size, size_t window_points, double domain,
+           double patch, uint64_t seed)
       : block_size(block_size),
-        window_blocks(window_points / block_size) {}
+        window_blocks(window_points / block_size),
+        domain(domain),
+        patch(patch),
+        rng(seed) {}
 
-  // One localized block: uniform points in one random patch of the domain.
   StreamBlock NextBlock() {
     StreamBlock block(2);
-    const double px = rng.NextDouble() * (kDomain - kPatch);
-    const double py = rng.NextDouble() * (kDomain - kPatch);
+    const double px = patch < domain ? rng.NextDouble() * (domain - patch)
+                                     : 0.0;
+    const double py = patch < domain ? rng.NextDouble() * (domain - patch)
+                                     : 0.0;
     for (size_t i = 0; i < block_size; ++i) {
-      const double p[2] = {px + rng.NextDouble() * kPatch,
-                           py + rng.NextDouble() * kPatch};
+      const double p[2] = {px + rng.NextDouble() * patch,
+                           py + rng.NextDouble() * patch};
       block.Add(static_cast<PointId>(next_id++), p);
     }
+    // Round index as timestamp: with window_seconds == window_blocks the
+    // time-based window keeps exactly the count-based resident set.
+    block.timestamp = static_cast<double>(round++);
     return block;
   }
 
@@ -120,14 +130,24 @@ struct Workload {
   }
 };
 
-StreamingConfig ServiceConfig(size_t window_blocks, bool summaries) {
+// Localized traffic: each block fills one kPatch^2 square of the domain.
+Workload LocalizedWorkload(size_t block_size, size_t window_points) {
+  return Workload(block_size, window_points, kDomain, kPatch, 0x57AE);
+}
+
+// Diffuse traffic: blocks uniform over a density-1 domain.
+Workload DiffuseWorkload(size_t block_size, size_t window_points) {
+  const double domain = std::sqrt(static_cast<double>(window_points));
+  return Workload(block_size, window_points, domain, domain, 0xD1FF);
+}
+
+StreamingConfig ServiceConfig(size_t window_blocks) {
   StreamingConfig config;
   config.params.radius = kRadius;
   config.params.min_neighbors = kMinNeighbors;
   config.params.seed = 11;
   config.window_blocks = window_blocks;
   config.num_threads = 1;  // isolate the algorithmic win from threading
-  config.summaries = summaries;
   return config;
 }
 
@@ -138,29 +158,35 @@ struct ConfigResult {
   double scratch_rounds_per_sec = 0.0;
   double speedup = 0.0;
   double mean_dirty_fraction = 0.0;
+  double mean_recounted = 0.0;
 };
 
-ConfigResult MeasureBlockSize(size_t block_size, size_t window_points,
-                              int rounds) {
-  Workload workload(block_size, window_points);
-  // Summaries off on both sides: this regime measures the dirty-cell rule
-  // itself (re-detection vs from-scratch), the PR 7 baseline the summary
-  // regime below is compared against.
+// Incremental Feed vs a fresh detector fed the whole window, on one
+// workload. With `time_window` a third service consumes the schedule
+// through the time-based window and must flag the same outliers.
+ConfigResult MeasureIncremental(Workload workload, int rounds,
+                                bool time_window) {
   auto created = StreamingDetector::Create(
-      ServiceConfig(workload.window_blocks, /*summaries=*/false));
+      ServiceConfig(workload.window_blocks));
   StreamingDetector& incremental = Must(created);
+  StreamingConfig timed_config = ServiceConfig(/*window_blocks=*/0);
+  timed_config.window_seconds = static_cast<double>(workload.window_blocks);
+  auto timed_created = StreamingDetector::Create(timed_config);
+  StreamingDetector& timed = Must(timed_created);
 
   // Prefill the window (not measured).
   for (size_t b = 0; b < workload.window_blocks; ++b) {
-    MustFeed(incremental, workload.Advance());
+    const StreamBlock block = workload.Advance();
+    MustFeed(incremental, block);
+    if (time_window) MustFeed(timed, block);
   }
 
-  // Measured steady-state rounds: each Feed appends one localized block
-  // and expires the oldest. From-scratch is sampled every 4th round (it is
-  // the slow side; a few samples pin its rate fine).
+  // Measured steady-state rounds: each Feed appends one block and expires
+  // the oldest. From-scratch is sampled every 4th round (it is the slow
+  // side; a few samples pin its rate fine).
   ConfigResult result;
-  result.block_size = block_size;
-  result.window_points = workload.window_blocks * block_size;
+  result.block_size = workload.block_size;
+  result.window_points = workload.window_blocks * workload.block_size;
   double incremental_seconds = 0.0;
   double scratch_seconds = 0.0;
   int scratch_samples = 0;
@@ -174,10 +200,22 @@ ConfigResult MeasureBlockSize(size_t block_size, size_t window_points,
       std::exit(1);
     }
     result.mean_dirty_fraction += fed.value().stats.dirty_fraction;
+    result.mean_recounted +=
+        static_cast<double>(fed.value().stats.recounted_points);
+    if (time_window) {
+      MustFeed(timed, block);
+      if (timed.outliers() != incremental.outliers()) {
+        std::fprintf(stderr,
+                     "FATAL: time-window outlier set disagrees at round %d "
+                     "(block_size %zu)\n",
+                     round, workload.block_size);
+        std::exit(1);
+      }
+    }
 
     if (round % 4 == 0) {
       auto scratch = StreamingDetector::Create(
-          ServiceConfig(workload.window_blocks, /*summaries=*/false));
+          ServiceConfig(workload.window_blocks));
       const StreamBlock whole = workload.WholeWindow();
       dod::StopWatch scratch_watch;
       auto refed = scratch.value()->Feed(whole);
@@ -188,7 +226,7 @@ ConfigResult MeasureBlockSize(size_t block_size, size_t window_points,
         std::fprintf(stderr,
                      "FATAL: from-scratch disagrees at round %d "
                      "(block_size %zu)\n",
-                     round, block_size);
+                     round, workload.block_size);
         std::exit(1);
       }
     }
@@ -197,115 +235,6 @@ ConfigResult MeasureBlockSize(size_t block_size, size_t window_points,
   result.scratch_rounds_per_sec = scratch_samples / scratch_seconds;
   result.speedup =
       result.incremental_rounds_per_sec / result.scratch_rounds_per_sec;
-  result.mean_dirty_fraction /= rounds;
-  return result;
-}
-
-// ---- Regime 2: summaries vs re-detection under diffuse traffic ----------
-
-// Blocks uniform over the whole (density-1) domain: every round touches
-// cells everywhere, so the re-detection path's dirty set approaches the
-// full window while the summary path's work stays proportional to the
-// block and its ring.
-struct ScatterWorkload {
-  size_t block_size = 0;
-  size_t window_blocks = 0;
-  double domain = 0.0;
-  dod::Rng rng{0xD1FF};
-  uint64_t next_id = 0;
-  uint64_t round = 0;
-
-  ScatterWorkload(size_t block_size, size_t window_points)
-      : block_size(block_size),
-        window_blocks(window_points / block_size),
-        domain(std::sqrt(static_cast<double>(window_points))) {}
-
-  StreamBlock NextBlock() {
-    StreamBlock block(2);
-    for (size_t i = 0; i < block_size; ++i) {
-      const double p[2] = {rng.NextDouble() * domain,
-                           rng.NextDouble() * domain};
-      block.Add(static_cast<PointId>(next_id++), p);
-    }
-    // Round index as timestamp: with window_seconds == window_blocks the
-    // time-based window keeps exactly the count-based resident set.
-    block.timestamp = static_cast<double>(round++);
-    return block;
-  }
-};
-
-struct SummaryResult {
-  size_t block_size = 0;
-  size_t window_points = 0;
-  double summaries_rounds_per_sec = 0.0;
-  double redetect_rounds_per_sec = 0.0;
-  double speedup = 0.0;
-  double mean_dirty_fraction = 0.0;
-  double mean_recounted = 0.0;
-};
-
-SummaryResult MeasureSummaries(size_t block_size, size_t window_points,
-                               int rounds) {
-  ScatterWorkload workload(block_size, window_points);
-  auto with = StreamingDetector::Create(
-      ServiceConfig(workload.window_blocks, /*summaries=*/true));
-  auto without = StreamingDetector::Create(
-      ServiceConfig(workload.window_blocks, /*summaries=*/false));
-  StreamingConfig timed_config =
-      ServiceConfig(/*window_blocks=*/0, /*summaries=*/true);
-  timed_config.window_seconds = static_cast<double>(workload.window_blocks);
-  auto timed_created = StreamingDetector::Create(timed_config);
-  StreamingDetector& summaries = Must(with);
-  StreamingDetector& redetect = Must(without);
-  StreamingDetector& timed = Must(timed_created);
-
-  for (size_t b = 0; b < workload.window_blocks; ++b) {
-    const StreamBlock block = workload.NextBlock();
-    MustFeed(summaries, block);
-    MustFeed(redetect, block);
-    MustFeed(timed, block);
-  }
-
-  SummaryResult result;
-  result.block_size = block_size;
-  result.window_points = workload.window_blocks * block_size;
-  double summary_seconds = 0.0;
-  double redetect_seconds = 0.0;
-  for (int round = 0; round < rounds; ++round) {
-    const StreamBlock block = workload.NextBlock();
-    dod::StopWatch watch;
-    auto fed = summaries.Feed(block);
-    summary_seconds += watch.ElapsedSeconds();
-    if (!fed.ok()) {
-      std::fprintf(stderr, "FATAL: %s\n", fed.status().ToString().c_str());
-      std::exit(1);
-    }
-    result.mean_recounted +=
-        static_cast<double>(fed.value().stats.recounted_points);
-
-    dod::StopWatch redetect_watch;
-    auto refed = redetect.Feed(block);
-    redetect_seconds += redetect_watch.ElapsedSeconds();
-    if (!refed.ok()) {
-      std::fprintf(stderr, "FATAL: %s\n", refed.status().ToString().c_str());
-      std::exit(1);
-    }
-    result.mean_dirty_fraction += refed.value().stats.dirty_fraction;
-    MustFeed(timed, block);
-
-    if (summaries.outliers() != redetect.outliers() ||
-        summaries.outliers() != timed.outliers()) {
-      std::fprintf(stderr,
-                   "FATAL: summary/re-detect/time-window outlier sets "
-                   "disagree at round %d (block_size %zu)\n",
-                   round, block_size);
-      std::exit(1);
-    }
-  }
-  result.summaries_rounds_per_sec = rounds / summary_seconds;
-  result.redetect_rounds_per_sec = rounds / redetect_seconds;
-  result.speedup =
-      result.summaries_rounds_per_sec / result.redetect_rounds_per_sec;
   result.mean_dirty_fraction /= rounds;
   result.mean_recounted /= rounds;
   return result;
@@ -331,11 +260,10 @@ struct ReorderResult {
 ReorderResult MeasureReorder(size_t block_size, size_t window_points,
                              int rounds) {
   const double lateness = 4.0;
-  ScatterWorkload workload(block_size, window_points);
-  auto inorder_created = StreamingDetector::Create(
-      ServiceConfig(workload.window_blocks, /*summaries=*/true));
-  StreamingConfig reorder_config =
-      ServiceConfig(workload.window_blocks, /*summaries=*/true);
+  Workload workload = DiffuseWorkload(block_size, window_points);
+  auto inorder_created =
+      StreamingDetector::Create(ServiceConfig(workload.window_blocks));
+  StreamingConfig reorder_config = ServiceConfig(workload.window_blocks);
   reorder_config.watermark.enabled = true;
   reorder_config.watermark.lateness = lateness;
   auto reorder_created = StreamingDetector::Create(reorder_config);
@@ -425,42 +353,43 @@ int main() {
   const int rounds = 20;
 
   dod::bench::PrintHeader(
-      "Streaming: incremental re-detection and summary maintenance",
-      "Regime 1 (localized blocks): one Feed per round re-detects only\n"
-      "dirty cells vs a fresh detector re-detecting the whole window.\n"
-      "Regime 2 (diffuse blocks): incremental count summaries vs dirty-cell\n"
-      "re-detection, plus a time-based-window service pinned to the same\n"
-      "verdicts. Outlier sets asserted identical across paired rounds.");
+      "Streaming: incremental neighbor-count summaries",
+      "Regime 1 (localized blocks) and regime 2 (diffuse blocks): one Feed\n"
+      "per round vs a fresh detector counting the whole window; regime 2\n"
+      "adds a time-based-window service pinned to the same verdicts.\n"
+      "Outlier sets asserted identical across paired rounds.");
 
-  const std::vector<size_t> block_sizes = {128, 512, 2048};
+  const auto print_results = [](const std::vector<ConfigResult>& results) {
+    std::printf("%11s %9s %14s %14s %9s %8s %9s\n", "block_size", "window",
+                "incr rnd/s", "scratch rnd/s", "speedup", "dirty%",
+                "recounts");
+    for (const ConfigResult& r : results) {
+      std::printf("%11zu %9zu %14.1f %14.1f %8.2fx %7.1f%% %9.1f\n",
+                  r.block_size, r.window_points, r.incremental_rounds_per_sec,
+                  r.scratch_rounds_per_sec, r.speedup,
+                  100.0 * r.mean_dirty_fraction, r.mean_recounted);
+    }
+  };
+
   std::vector<ConfigResult> results;
-  std::printf("%11s %9s %14s %14s %9s %8s\n", "block_size", "window",
-              "incr rnd/s", "scratch rnd/s", "speedup", "dirty%");
-  for (size_t block_size : block_sizes) {
-    const ConfigResult r = MeasureBlockSize(block_size, window_points, rounds);
-    results.push_back(r);
-    std::printf("%11zu %9zu %14.1f %14.1f %8.2fx %7.1f%%\n", r.block_size,
-                r.window_points, r.incremental_rounds_per_sec,
-                r.scratch_rounds_per_sec, r.speedup,
-                100.0 * r.mean_dirty_fraction);
+  for (size_t block_size : {128, 512, 2048}) {
+    results.push_back(MeasureIncremental(
+        LocalizedWorkload(block_size, window_points), rounds,
+        /*time_window=*/false));
   }
+  print_results(results);
 
   // Regime 2: diffuse traffic, smaller window (the dirty set covers the
   // domain either way; what differs is the per-round work).
   const size_t scatter_points = dod::bench::ScaledN(8192);
-  const std::vector<size_t> summary_block_sizes = {128, 512};
-  std::vector<SummaryResult> summary_results;
-  std::printf("\n%11s %9s %14s %14s %9s %8s %9s\n", "block_size", "window",
-              "summ rnd/s", "redet rnd/s", "speedup", "dirty%", "recounts");
-  for (size_t block_size : summary_block_sizes) {
-    const SummaryResult r =
-        MeasureSummaries(block_size, scatter_points, rounds);
-    summary_results.push_back(r);
-    std::printf("%11zu %9zu %14.1f %14.1f %8.2fx %7.1f%% %9.1f\n",
-                r.block_size, r.window_points, r.summaries_rounds_per_sec,
-                r.redetect_rounds_per_sec, r.speedup,
-                100.0 * r.mean_dirty_fraction, r.mean_recounted);
+  std::vector<ConfigResult> diffuse_results;
+  for (size_t block_size : {128, 512}) {
+    diffuse_results.push_back(MeasureIncremental(
+        DiffuseWorkload(block_size, scatter_points), rounds,
+        /*time_window=*/true));
   }
+  std::printf("\n");
+  print_results(diffuse_results);
 
   // Regime 3: the same diffuse schedule shuffled within a lateness bound
   // and replayed through the watermark reorder stage. The overhead ratio
@@ -477,11 +406,10 @@ int main() {
                 r.reorder_rounds_per_sec, r.overhead, r.mean_buffered);
   }
 
-  // The headline numbers CI guards: the smallest-delta configurations,
-  // where incrementality — and summary maintenance — have the most to
-  // offer.
+  // The headline numbers CI guards: the smallest-block configurations,
+  // where incrementality has the most to offer.
   const double small_delta_speedup = results.front().speedup;
-  const double small_delta_speedup_summaries = summary_results.front().speedup;
+  const double diffuse_speedup = diffuse_results.front().speedup;
   const double reorder_overhead = reorder_results.front().overhead;
 
   std::FILE* f = std::fopen("BENCH_streaming.json", "w");
@@ -491,34 +419,26 @@ int main() {
   }
   std::fprintf(f, "{\n  \"bench\": \"streaming\",\n  \"rounds\": %d,\n",
                rounds);
-  std::fprintf(f, "  \"configs\": [\n");
-  for (size_t i = 0; i < results.size(); ++i) {
-    const ConfigResult& r = results[i];
-    std::fprintf(f,
-                 "    {\"block_size\": %zu, \"window_points\": %zu, "
-                 "\"incremental_rounds_per_sec\": %.1f, "
-                 "\"scratch_rounds_per_sec\": %.1f, \"speedup\": %.3f, "
-                 "\"mean_dirty_fraction\": %.4f}%s\n",
-                 r.block_size, r.window_points, r.incremental_rounds_per_sec,
-                 r.scratch_rounds_per_sec, r.speedup, r.mean_dirty_fraction,
-                 i + 1 < results.size() ? "," : "");
-  }
-  std::fprintf(f, "  ],\n");
-  std::fprintf(f, "  \"summary_configs\": [\n");
-  for (size_t i = 0; i < summary_results.size(); ++i) {
-    const SummaryResult& r = summary_results[i];
-    std::fprintf(f,
-                 "    {\"block_size\": %zu, \"window_points\": %zu, "
-                 "\"summaries_rounds_per_sec\": %.1f, "
-                 "\"redetect_rounds_per_sec\": %.1f, \"speedup\": %.3f, "
-                 "\"mean_dirty_fraction\": %.4f, "
-                 "\"mean_recounted_points\": %.1f}%s\n",
-                 r.block_size, r.window_points, r.summaries_rounds_per_sec,
-                 r.redetect_rounds_per_sec, r.speedup, r.mean_dirty_fraction,
-                 r.mean_recounted,
-                 i + 1 < summary_results.size() ? "," : "");
-  }
-  std::fprintf(f, "  ],\n");
+  const auto write_configs = [f](const char* name,
+                                 const std::vector<ConfigResult>& configs) {
+    std::fprintf(f, "  \"%s\": [\n", name);
+    for (size_t i = 0; i < configs.size(); ++i) {
+      const ConfigResult& r = configs[i];
+      std::fprintf(f,
+                   "    {\"block_size\": %zu, \"window_points\": %zu, "
+                   "\"incremental_rounds_per_sec\": %.1f, "
+                   "\"scratch_rounds_per_sec\": %.1f, \"speedup\": %.3f, "
+                   "\"mean_dirty_fraction\": %.4f, "
+                   "\"mean_recounted_points\": %.1f}%s\n",
+                   r.block_size, r.window_points,
+                   r.incremental_rounds_per_sec, r.scratch_rounds_per_sec,
+                   r.speedup, r.mean_dirty_fraction, r.mean_recounted,
+                   i + 1 < configs.size() ? "," : "");
+    }
+    std::fprintf(f, "  ],\n");
+  };
+  write_configs("configs", results);
+  write_configs("diffuse_configs", diffuse_results);
   std::fprintf(f, "  \"reorder_configs\": [\n");
   for (size_t i = 0; i < reorder_results.size(); ++i) {
     const ReorderResult& r = reorder_results[i];
@@ -533,13 +453,12 @@ int main() {
   }
   std::fprintf(f, "  ],\n");
   std::fprintf(f, "  \"small_delta_speedup\": %.3f,\n", small_delta_speedup);
-  std::fprintf(f, "  \"small_delta_speedup_summaries\": %.3f,\n",
-               small_delta_speedup_summaries);
+  std::fprintf(f, "  \"diffuse_speedup\": %.3f,\n", diffuse_speedup);
   std::fprintf(f, "  \"reorder_overhead\": %.3f\n}\n", reorder_overhead);
   std::fclose(f);
   std::printf(
       "\nwrote BENCH_streaming.json (small-delta speedup %.2fx, "
-      "summaries speedup %.2fx, reorder overhead %.2fx)\n",
-      small_delta_speedup, small_delta_speedup_summaries, reorder_overhead);
+      "diffuse speedup %.2fx, reorder overhead %.2fx)\n",
+      small_delta_speedup, diffuse_speedup, reorder_overhead);
   return 0;
 }

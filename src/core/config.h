@@ -74,13 +74,6 @@ struct DodConfig {
   // counting-sort path (see mapreduce/shuffle.h).
   ShuffleMode shuffle = ShuffleMode::kColumnar;
 
-  // Incremental neighbor-count summaries in the streaming service
-  // (src/streaming/); consumed by dod_stream_cli when building its
-  // StreamingConfig, ignored by the batch pipeline. Deltas are
-  // byte-identical either way; off falls back to dirty-cell re-detection,
-  // mirroring the --kernels/--shuffle escape-hatch convention.
-  bool summaries = true;
-
   uint64_t seed = 42;
 
   // ---- Durable execution (src/durability/) ------------------------------

@@ -5,6 +5,7 @@
 #include <cstdint>
 #include <cstring>
 #include <fstream>
+#include <string>
 
 namespace dod {
 namespace {
@@ -44,6 +45,24 @@ Result<Dataset> ReadBinary(const std::string& path) {
   in.read(reinterpret_cast<char*>(&count), sizeof(count));
   if (!in || dims < 1 || dims > static_cast<uint32_t>(kMaxDimensions)) {
     return Status::InvalidArgument("bad header in " + path);
+  }
+  // The header is untrusted: size the payload against the bytes the file
+  // actually holds before allocating anything. Dividing instead of
+  // multiplying keeps a huge count from wrapping count * dims.
+  const std::streamoff payload_start = in.tellg();
+  in.seekg(0, std::ios::end);
+  const std::streamoff file_end = in.tellg();
+  in.seekg(payload_start);
+  if (!in || payload_start < 0 || file_end < payload_start) {
+    return Status::IoError("cannot size " + path);
+  }
+  const uint64_t payload_bytes =
+      static_cast<uint64_t>(file_end - payload_start);
+  if (count > payload_bytes / (uint64_t{dims} * sizeof(double))) {
+    return Status::InvalidArgument(
+        "truncated payload in " + path + ": header claims " +
+        std::to_string(count) + " points of " + std::to_string(dims) +
+        " dims, file holds " + std::to_string(payload_bytes) + " bytes");
   }
 
   Dataset dataset(static_cast<int>(dims));

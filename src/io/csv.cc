@@ -54,6 +54,12 @@ Status WriteCsv(const Dataset& dataset, const std::string& path,
 }
 
 Result<Dataset> ReadCsv(const std::string& path, const CsvOptions& options) {
+  if (options.columns.size() > static_cast<size_t>(kMaxDimensions)) {
+    return Status::InvalidArgument(
+        std::to_string(options.columns.size()) +
+        " coordinate columns selected; at most " +
+        std::to_string(kMaxDimensions) + " are supported");
+  }
   std::ifstream in(path);
   if (!in) return Status::IoError("cannot open for read: " + path);
 

@@ -19,21 +19,25 @@
 namespace dod {
 namespace {
 
-// Version 3 added per-source windows and the watermark/reorder section
-// (arrival counters, per-source clocks, buffered blocks). Version 2 added
-// the per-point neighbor-count summaries (gated by a has_summaries flag,
-// so summaries-off snapshots stay lean). Version-1/2 snapshots are still
-// read — their single window restores as source 0, summaries rebuild on
-// restore when absent, and per-source clocks rebuild deterministically
-// from the restored blocks' timestamps. Versions beyond 3 fail with
-// kFailedPrecondition: an older reader must refuse a newer writer's
-// state rather than misparse it.
+// The only snapshot version this reader accepts: per-source windows,
+// per-point neighbor-count summaries behind a has_summaries flag, and the
+// watermark/reorder section (arrival counters, per-source clocks,
+// buffered blocks). Every other version fails with kFailedPrecondition.
+// Older versions cannot reach a reader: CheckpointStore refuses every
+// manifest format older than the one that shipped alongside version 3.
+// A v3 snapshot written with has_summaries = 0 (by a build that could run
+// rounds by re-detection) still restores: its counts rebuild on resume.
 constexpr uint32_t kStreamStateVersion = 3;
 
 // Same per-cell seed derivation as the batch reducers (core/pipeline.cc):
-// the detector's probe-order seed and the arena's permutation seed come
-// from independent streams so slot order and probe starts don't correlate.
+// the probe-order seed and the arena's permutation seed come from
+// independent streams so slot order and probe starts don't correlate.
 constexpr uint64_t kArenaSeedSalt = 0xA5C3D2E1F0B49687ULL;
+
+// Largest supporting ring (cells per side of the center) a configuration
+// may ask for; keeps ceil(radius / cell_side) and every ring walk inside
+// int32 cell coordinates.
+constexpr double kMaxRing = 1 << 20;
 
 uint64_t CellSeed(uint64_t base, uint64_t cell) {
   return base ^ (0x9E3779B97F4A7C15ULL * (cell + 1));
@@ -98,7 +102,6 @@ StreamingDetector::StreamingDetector(const StreamingConfig& config)
     : config_(config),
       side_(config.cell_side > 0.0 ? config.cell_side
                                    : config.params.radius),
-      detector_(MakeDetector(config.algorithm)),
       executor_(std::make_unique<ParallelExecutor>(config.num_threads)) {
   // Supporting ring: with cell side s, any neighbor within distance r is
   // at most ceil(r/s) cells away per dimension (see DirtyCells).
@@ -120,6 +123,18 @@ Result<std::unique_ptr<StreamingDetector>> StreamingDetector::Create(
   if (config.cell_side < 0.0 || config.window_seconds < 0.0) {
     return Status::InvalidArgument(
         "StreamingDetector: cell_side and window_seconds must be >= 0");
+  }
+  const double side =
+      config.cell_side > 0.0 ? config.cell_side : config.params.radius;
+  if (!(config.params.radius / side <= kMaxRing)) {
+    return Status::InvalidArgument(
+        "StreamingDetector: cell_side is too small for the radius (the "
+        "supporting ring would exceed 2^20 cells)");
+  }
+  if (!config.summaries) {
+    return Status::InvalidArgument(
+        "StreamingDetector: summaries must be true (rounds run on "
+        "neighbor-count summaries only)");
   }
   if (config.summary_slack < 0) {
     return Status::InvalidArgument(
@@ -178,6 +193,16 @@ Status StreamingDetector::ValidateBlock(const StreamBlock& block) const {
         std::to_string(dims_));
   }
   DOD_RETURN_IF_ERROR(block.points.Validate());
+  for (size_t i = 0; i < block.points.size(); ++i) {
+    if (!KeyInRange(block.points[static_cast<PointId>(i)],
+                    block.points.dims())) {
+      return Status::InvalidArgument(
+          "StreamingDetector::Feed: point id " +
+          std::to_string(block.ids[i]) +
+          " lies outside the grid's int32 cell range (|x - origin| / "
+          "cell_side must stay below 2^31 cells)");
+    }
+  }
   std::unordered_set<PointId> seen;
   seen.reserve(block.ids.size());
   for (PointId id : block.ids) {
@@ -212,6 +237,15 @@ uint32_t StreamingDetector::AllocSlot(PointId id, const double* p) {
 CellCoord StreamingDetector::KeyOf(const double* p) const {
   // The exact keying the batch grids use (detection/cell_key.h).
   return UniformCellKey(p, dims_, origin_, side_);
+}
+
+bool StreamingDetector::KeyInRange(const double* p, int dims) const {
+  const double limit =
+      static_cast<double>(std::numeric_limits<int32_t>::max()) - ring_ - 1;
+  for (int d = 0; d < dims; ++d) {
+    if (!(std::abs((p[d] - origin_[d]) / side_) < limit)) return false;
+  }
+  return true;
 }
 
 void StreamingDetector::AppendBlock(const StreamBlock& block,
@@ -308,49 +342,6 @@ void StreamingDetector::StageCellWithRing(const CellCoord& center,
                                kArenaSeedSalt);
 }
 
-Status StreamingDetector::RedetectCells(const std::vector<CellCoord>& dirty,
-                                        OutlierDelta* delta) {
-  if (dirty.empty()) return Status::Ok();
-
-  // Stage every dirty cell into one shared probe arena: the cell's own
-  // segment as core points, the points of its supporting-ring cells as
-  // support — the same core-first layout the batch reducers stage.
-  TaskArena arena(*window_);
-  for (const CellCoord& center : dirty) StageCellWithRing(center, &arena);
-  DOD_RETURN_IF_ERROR(arena.TryBuildProbes());
-
-  // Fan the dirty cells out over the executor; per-cell results stage into
-  // flagged_local and are folded sequentially below, so deltas are
-  // byte-identical for every thread count.
-  std::vector<std::vector<uint32_t>> flagged_local(dirty.size());
-  DOD_RETURN_IF_ERROR(executor_->RunTasks(
-      dirty.size(), [&](size_t i) -> Status {
-        const PartitionView view = arena.View(i);
-        DetectionParams params = config_.params;
-        params.seed = CellSeed(config_.params.seed, CoordToken(dirty[i]));
-        flagged_local[i] =
-            detector_->DetectOutliers(view, params, /*counters=*/nullptr);
-        return Status::Ok();
-      }));
-
-  for (size_t i = 0; i < dirty.size(); ++i) {
-    const CellState& cell = cells_.at(dirty[i]);
-    const std::vector<uint32_t>& flagged = flagged_local[i];  // ascending
-    size_t cursor = 0;
-    for (size_t j = 0; j < cell.slots.size(); ++j) {
-      while (cursor < flagged.size() && flagged[cursor] < j) ++cursor;
-      const bool now = cursor < flagged.size() && flagged[cursor] == j;
-      SlotState& state = slots_[cell.slots[j]];
-      if (now != (state.flagged != 0)) {
-        (now ? delta->newly_flagged : delta->newly_cleared)
-            .push_back(state.stream_id);
-        state.flagged = now ? 1 : 0;
-      }
-    }
-  }
-  return Status::Ok();
-}
-
 int StreamingDetector::SaturationCap() const {
   const long long cap = static_cast<long long>(config_.params.min_neighbors) +
                         config_.summary_slack;
@@ -370,7 +361,6 @@ Status StreamingDetector::SummaryUpdate(
     const std::vector<CellCoord>& dirty,
     const std::vector<uint32_t>& appended_slots,
     const std::vector<uint32_t>& evicted_slots, OutlierDelta* delta) {
-  delta->stats.summary_path = true;
   std::vector<TargetCell> targets;
   {
     trace::Span span("stream", "summary_update");
@@ -639,12 +629,8 @@ void StreamingDetector::RecordRound(const OutlierDelta& delta) {
       metrics.Id("stream.dirty_cell_fraction", MetricKind::kHistogram);
   static const uint32_t kRoundSeconds =
       metrics.Id("stream.round_seconds", MetricKind::kHistogram);
-  // The stream.summary.* family registers on every round (schema presence
-  // is mode-independent); the counters only move on summary-path rounds.
   static const uint32_t kSummaryRounds =
       metrics.Id("stream.summary.rounds", MetricKind::kCounter);
-  static const uint32_t kSummaryBypassed =
-      metrics.Id("stream.summary.rounds_bypassed", MetricKind::kCounter);
   static const uint32_t kInsertPairs =
       metrics.Id("stream.summary.insert_count_pairs", MetricKind::kCounter);
   static const uint32_t kExpiryPairs =
@@ -683,18 +669,14 @@ void StreamingDetector::RecordRound(const OutlierDelta& delta) {
                  static_cast<double>(delta.stats.resident_points));
   metrics.Observe(kDirtyFraction, delta.stats.dirty_fraction);
   metrics.Observe(kRoundSeconds, delta.stats.round_seconds);
-  if (delta.stats.summary_path) {
-    metrics.Increment(kSummaryRounds);
-    metrics.Increment(kInsertPairs, delta.stats.insert_pairs);
-    metrics.Increment(kExpiryPairs, delta.stats.expiry_pairs);
-    metrics.Increment(kFullPoints, delta.stats.full_counted_points);
-    metrics.Increment(kRecountPoints, delta.stats.recounted_points);
-    metrics.SetMax(kSaturated, static_cast<double>(saturated_points()));
-    metrics.Observe(kRecountQueue,
-                    static_cast<double>(delta.stats.recounted_points));
-  } else {
-    metrics.Increment(kSummaryBypassed);
-  }
+  metrics.Increment(kSummaryRounds);
+  metrics.Increment(kInsertPairs, delta.stats.insert_pairs);
+  metrics.Increment(kExpiryPairs, delta.stats.expiry_pairs);
+  metrics.Increment(kFullPoints, delta.stats.full_counted_points);
+  metrics.Increment(kRecountPoints, delta.stats.recounted_points);
+  metrics.SetMax(kSaturated, static_cast<double>(saturated_points()));
+  metrics.Observe(kRecountQueue,
+                  static_cast<double>(delta.stats.recounted_points));
 }
 
 Result<OutlierDelta> StreamingDetector::AdmitBlock(const StreamBlock& block) {
@@ -722,16 +704,12 @@ Result<OutlierDelta> StreamingDetector::AdmitBlock(const StreamBlock& block) {
       ExpireBlocks(&touched, &expired_flagged, &evicted_slots);
 
   const std::vector<CellCoord> dirty = DirtyCells(&touched);
-  if (config_.summaries) {
-    DOD_RETURN_IF_ERROR(
-        SummaryUpdate(dirty, appended_slots, evicted_slots, &delta));
-  } else {
-    DOD_RETURN_IF_ERROR(RedetectCells(dirty, &delta));
-  }
+  DOD_RETURN_IF_ERROR(
+      SummaryUpdate(dirty, appended_slots, evicted_slots, &delta));
 
   // Flagged points that left the window clear by expiry; verdict flips
   // were collected per dirty cell above. The two sources are disjoint
-  // (expired slots are out of every cell before detection runs).
+  // (expired slots are out of every cell before the summary update runs).
   delta.newly_cleared.insert(delta.newly_cleared.end(),
                              expired_flagged.begin(), expired_flagged.end());
   std::sort(delta.newly_flagged.begin(), delta.newly_flagged.end());
@@ -959,7 +937,9 @@ std::string StreamingDetector::JobKey() const {
   w.F64(config_.params.radius);
   w.U64(static_cast<uint64_t>(config_.params.min_neighbors));
   w.U64(config_.params.seed);
-  w.U64(static_cast<uint64_t>(config_.algorithm));
+  // The algorithm slot of the key's layout, fixed now that no detector is
+  // configurable: stores written with the former default keep their key.
+  w.U64(static_cast<uint64_t>(AlgorithmKind::kCellBased));
   w.U64(config_.window_blocks);
   w.F64(config_.window_seconds);
   w.F64(side_);
@@ -1000,11 +980,7 @@ Status StreamingDetector::CommitCheckpoint() {
   w.U64(round_);
   w.U64(next_seq_);
   w.U32(static_cast<uint32_t>(dims_));
-  // Summaries ride the snapshot only when the service maintains them:
-  // summaries-off state would persist stale counts a later summaries-on
-  // resume would trust.
-  const bool has_summaries = config_.summaries;
-  w.U8(has_summaries ? 1 : 0);
+  w.U8(1);  // has_summaries: every point's count follows its coordinates
   // Per-source windows, ascending source id (map order).
   w.U64(windows_.size());
   for (const auto& entry : windows_) {
@@ -1020,10 +996,8 @@ Status StreamingDetector::CommitCheckpoint() {
       for (uint32_t slot : block.slots) {
         w.U32(slots_[slot].stream_id);
         w.Raw((*window_)[slot], sizeof(double) * static_cast<size_t>(dims_));
-        if (has_summaries) {
-          w.U32(slots_[slot].count);
-          w.U8(slots_[slot].saturated);
-        }
+        w.U32(slots_[slot].count);
+        w.U8(slots_[slot].saturated);
       }
     }
   }
@@ -1087,32 +1061,21 @@ Status StreamingDetector::RestoreLatest() {
   PayloadReader r(bytes);
   uint32_t version = 0;
   DOD_RETURN_IF_ERROR(r.U32(&version));
-  if (version == 0 || version > kStreamStateVersion) {
-    // A newer writer's state: refusing outright beats misparsing it. The
+  if (version != kStreamStateVersion) {
+    // Another writer's layout: refusing outright beats misparsing it. The
     // caller keeps the store intact for the build that wrote it.
     return Status::FailedPrecondition(
         "stream checkpoint version skew: snapshot version " +
-        std::to_string(version) + " is newer than this reader (supports 1-" +
-        std::to_string(kStreamStateVersion) + ")");
+        std::to_string(version) + ", this reader supports only version " +
+        std::to_string(kStreamStateVersion));
   }
   DOD_RETURN_IF_ERROR(r.U64(&round_));
   DOD_RETURN_IF_ERROR(r.U64(&next_seq_));
-  // v1/v2 persisted the single pre-source-aware window clock before dims.
-  uint8_t legacy_saw = 0;
-  double legacy_high_water = 0.0;
-  if (version < 3) {
-    DOD_RETURN_IF_ERROR(r.U8(&legacy_saw));
-    DOD_RETURN_IF_ERROR(r.F64(&legacy_high_water));
-  }
   uint32_t dims = 0;
   DOD_RETURN_IF_ERROR(r.U32(&dims));
   if (dims > 0) DOD_RETURN_IF_ERROR(InitDims(static_cast<int>(dims)));
-  bool has_summaries = false;
-  if (version >= 2) {
-    uint8_t flag = 0;
-    DOD_RETURN_IF_ERROR(r.U8(&flag));
-    has_summaries = flag != 0;
-  }
+  uint8_t has_summaries = 0;
+  DOD_RETURN_IF_ERROR(r.U8(&has_summaries));
 
   const auto read_blocks = [&](SourceWindow* source) -> Status {
     uint64_t num_blocks = 0;
@@ -1123,12 +1086,21 @@ Status StreamingDetector::RestoreLatest() {
       DOD_RETURN_IF_ERROR(r.F64(&wb.timestamp));
       uint64_t num_points = 0;
       DOD_RETURN_IF_ERROR(r.U64(&num_points));
+      if (num_points > 0 && dims_ == 0) {
+        return Status::IoError(
+            "stream checkpoint: resident points in a window without dims");
+      }
       double coords[kMaxDimensions];
       for (uint64_t i = 0; i < num_points; ++i) {
         uint32_t id = 0;
         DOD_RETURN_IF_ERROR(r.U32(&id));
         DOD_RETURN_IF_ERROR(
             r.Raw(coords, sizeof(double) * static_cast<size_t>(dims_)));
+        if (!KeyInRange(coords, dims_)) {
+          return Status::IoError(
+              "stream checkpoint: resident coordinate outside the grid's "
+              "cell range");
+        }
         uint32_t count = 0;
         uint8_t saturated = 0;
         if (has_summaries) {
@@ -1140,13 +1112,8 @@ Status StreamingDetector::RestoreLatest() {
                                  std::to_string(id));
         }
         const uint32_t slot = AllocSlot(id, coords);
-        if (has_summaries && config_.summaries) {
-          // A summaries-off service discards the counts instead: it won't
-          // maintain them, and persisting them stale would poison a later
-          // summaries-on resume.
-          slots_[slot].count = count;
-          slots_[slot].saturated = saturated != 0 ? 1 : 0;
-        }
+        slots_[slot].count = count;
+        slots_[slot].saturated = saturated != 0 ? 1 : 0;
         cells_[KeyOf(coords)].slots.push_back(slot);
         wb.slots.push_back(slot);
       }
@@ -1155,34 +1122,25 @@ Status StreamingDetector::RestoreLatest() {
     return Status::Ok();
   };
 
-  if (version < 3) {
-    // The legacy single window restores as source 0 — exactly where every
-    // pre-source-aware Feed had been putting its blocks.
-    SourceWindow& source = windows_[0];
-    source.saw_timestamp = legacy_saw != 0;
-    source.high_water = legacy_high_water;
-    DOD_RETURN_IF_ERROR(read_blocks(&source));
-  } else {
-    uint64_t num_sources = 0;
-    DOD_RETURN_IF_ERROR(r.U64(&num_sources));
-    bool first = true;
-    uint32_t prev_source = 0;
-    for (uint64_t s = 0; s < num_sources; ++s) {
-      uint32_t source_id = 0;
-      DOD_RETURN_IF_ERROR(r.U32(&source_id));
-      if (!first && source_id <= prev_source) {
-        return Status::IoError(
-            "stream checkpoint: source ids not strictly ascending");
-      }
-      first = false;
-      prev_source = source_id;
-      SourceWindow& source = windows_[source_id];
-      uint8_t saw = 0;
-      DOD_RETURN_IF_ERROR(r.U8(&saw));
-      source.saw_timestamp = saw != 0;
-      DOD_RETURN_IF_ERROR(r.F64(&source.high_water));
-      DOD_RETURN_IF_ERROR(read_blocks(&source));
+  uint64_t num_sources = 0;
+  DOD_RETURN_IF_ERROR(r.U64(&num_sources));
+  bool first_source = true;
+  uint32_t prev_source = 0;
+  for (uint64_t s = 0; s < num_sources; ++s) {
+    uint32_t source_id = 0;
+    DOD_RETURN_IF_ERROR(r.U32(&source_id));
+    if (!first_source && source_id <= prev_source) {
+      return Status::IoError(
+          "stream checkpoint: source ids not strictly ascending");
     }
+    first_source = false;
+    prev_source = source_id;
+    SourceWindow& source = windows_[source_id];
+    uint8_t saw = 0;
+    DOD_RETURN_IF_ERROR(r.U8(&saw));
+    source.saw_timestamp = saw != 0;
+    DOD_RETURN_IF_ERROR(r.F64(&source.high_water));
+    DOD_RETURN_IF_ERROR(read_blocks(&source));
   }
 
   uint64_t num_outliers = 0;
@@ -1203,144 +1161,114 @@ Status StreamingDetector::RestoreLatest() {
     return Status::IoError("stream checkpoint: flagged ids not sorted");
   }
 
-  if (version >= 3) {
-    DOD_RETURN_IF_ERROR(r.U64(&arrivals_));
-    DOD_RETURN_IF_ERROR(r.U64(&late_dropped_));
-    uint8_t saw_arrival = 0;
-    DOD_RETURN_IF_ERROR(r.U8(&saw_arrival));
-    saw_arrival_ = saw_arrival != 0;
-    DOD_RETURN_IF_ERROR(r.F64(&global_max_ts_));
-    DOD_RETURN_IF_ERROR(r.U64(&next_arrival_));
-    uint64_t num_clocks = 0;
-    DOD_RETURN_IF_ERROR(r.U64(&num_clocks));
-    bool first = true;
-    uint32_t prev_source = 0;
-    for (uint64_t i = 0; i < num_clocks; ++i) {
-      uint32_t source_id = 0;
-      double clock = 0.0;
-      DOD_RETURN_IF_ERROR(r.U32(&source_id));
-      DOD_RETURN_IF_ERROR(r.F64(&clock));
-      if ((!first && source_id <= prev_source) || !std::isfinite(clock)) {
-        return Status::IoError(
-            "stream checkpoint: malformed watermark clock record");
-      }
-      first = false;
-      prev_source = source_id;
-      wm_clocks_.emplace(source_id, clock);
+  DOD_RETURN_IF_ERROR(r.U64(&arrivals_));
+  DOD_RETURN_IF_ERROR(r.U64(&late_dropped_));
+  uint8_t saw_arrival = 0;
+  DOD_RETURN_IF_ERROR(r.U8(&saw_arrival));
+  saw_arrival_ = saw_arrival != 0;
+  DOD_RETURN_IF_ERROR(r.F64(&global_max_ts_));
+  DOD_RETURN_IF_ERROR(r.U64(&next_arrival_));
+  uint64_t num_clocks = 0;
+  DOD_RETURN_IF_ERROR(r.U64(&num_clocks));
+  bool first_clock = true;
+  uint32_t prev_clock = 0;
+  for (uint64_t i = 0; i < num_clocks; ++i) {
+    uint32_t source_id = 0;
+    double clock = 0.0;
+    DOD_RETURN_IF_ERROR(r.U32(&source_id));
+    DOD_RETURN_IF_ERROR(r.F64(&clock));
+    if ((!first_clock && source_id <= prev_clock) || !std::isfinite(clock)) {
+      return Status::IoError(
+          "stream checkpoint: malformed watermark clock record");
     }
-    uint64_t num_pending = 0;
-    DOD_RETURN_IF_ERROR(r.U64(&num_pending));
-    for (uint64_t i = 0; i < num_pending; ++i) {
-      PendingBlock pending;
-      DOD_RETURN_IF_ERROR(r.U64(&pending.arrival));
-      uint32_t source_id = 0;
-      double timestamp = 0.0;
-      uint32_t block_dims = 0;
-      uint64_t num_points = 0;
-      DOD_RETURN_IF_ERROR(r.U32(&source_id));
-      DOD_RETURN_IF_ERROR(r.F64(&timestamp));
-      DOD_RETURN_IF_ERROR(r.U32(&block_dims));
-      DOD_RETURN_IF_ERROR(r.U64(&num_points));
-      if (!std::isfinite(timestamp) || block_dims < 1 ||
-          block_dims > kMaxDimensions ||
-          (dims_ != 0 && num_points > 0 &&
-           block_dims != static_cast<uint32_t>(dims_))) {
-        return Status::IoError(
-            "stream checkpoint: malformed reorder-buffer record");
-      }
-      StreamBlock block(static_cast<int>(block_dims));
-      block.timestamp = timestamp;
-      block.source_id = source_id;
-      double coords[kMaxDimensions];
-      for (uint64_t p = 0; p < num_points; ++p) {
-        uint32_t id = 0;
-        DOD_RETURN_IF_ERROR(r.U32(&id));
-        DOD_RETURN_IF_ERROR(
-            r.Raw(coords, sizeof(double) * static_cast<size_t>(block_dims)));
-        for (uint32_t d = 0; d < block_dims; ++d) {
-          if (!std::isfinite(coords[d])) {
-            return Status::IoError(
-                "stream checkpoint: non-finite reorder-buffer coordinate");
-          }
-        }
-        if (id_to_slot_.count(id) != 0 || pending_ids_.count(id) != 0) {
-          return Status::IoError(
-              "stream checkpoint: duplicate reorder-buffer id " +
-              std::to_string(id));
-        }
-        pending_ids_.insert(id);
-        block.Add(id, coords);
-      }
-      if (pending.arrival >= next_arrival_) {
-        return Status::IoError(
-            "stream checkpoint: reorder-buffer arrival sequence skew");
-      }
-      pending.block = std::move(block);
-      reorder_.push_back(std::move(pending));
-    }
-    // Re-establish the canonical (timestamp, source, arrival) order
-    // instead of trusting record order — a hostile snapshot must not be
-    // able to force an out-of-order admission.
-    std::sort(reorder_.begin(), reorder_.end(),
-              [](const PendingBlock& a, const PendingBlock& b) {
-                if (a.block.timestamp != b.block.timestamp) {
-                  return a.block.timestamp < b.block.timestamp;
-                }
-                if (a.block.source_id != b.block.source_id) {
-                  return a.block.source_id < b.block.source_id;
-                }
-                return a.arrival < b.arrival;
-              });
-  } else {
-    // v1/v2 upgrade: in-order mode admitted one block per round.
-    arrivals_ = round_;
-    if (config_.watermark.enabled) {
-      // Rebuild the source-0 clock deterministically: the legacy
-      // high-water clock is the true max-seen when the writer tracked
-      // timestamps (time-based window); otherwise fall back to the max
-      // over the resident blocks.
-      bool any = legacy_saw != 0;
-      double max_ts = legacy_high_water;
-      for (const auto& entry : windows_) {
-        for (const WindowBlock& block : entry.second.blocks) {
-          if (!any || block.timestamp > max_ts) max_ts = block.timestamp;
-          any = true;
-        }
-      }
-      if (any) {
-        wm_clocks_[0] = max_ts;
-        global_max_ts_ = max_ts;
-        saw_arrival_ = true;
-      }
-    }
+    first_clock = false;
+    prev_clock = source_id;
+    wm_clocks_.emplace(source_id, clock);
   }
+  uint64_t num_pending = 0;
+  DOD_RETURN_IF_ERROR(r.U64(&num_pending));
+  for (uint64_t i = 0; i < num_pending; ++i) {
+    PendingBlock pending;
+    DOD_RETURN_IF_ERROR(r.U64(&pending.arrival));
+    uint32_t source_id = 0;
+    double timestamp = 0.0;
+    uint32_t block_dims = 0;
+    uint64_t num_points = 0;
+    DOD_RETURN_IF_ERROR(r.U32(&source_id));
+    DOD_RETURN_IF_ERROR(r.F64(&timestamp));
+    DOD_RETURN_IF_ERROR(r.U32(&block_dims));
+    DOD_RETURN_IF_ERROR(r.U64(&num_points));
+    if (!std::isfinite(timestamp) || block_dims < 1 ||
+        block_dims > kMaxDimensions ||
+        (dims_ != 0 && num_points > 0 &&
+         block_dims != static_cast<uint32_t>(dims_))) {
+      return Status::IoError(
+          "stream checkpoint: malformed reorder-buffer record");
+    }
+    StreamBlock block(static_cast<int>(block_dims));
+    block.timestamp = timestamp;
+    block.source_id = source_id;
+    double coords[kMaxDimensions];
+    for (uint64_t p = 0; p < num_points; ++p) {
+      uint32_t id = 0;
+      DOD_RETURN_IF_ERROR(r.U32(&id));
+      DOD_RETURN_IF_ERROR(
+          r.Raw(coords, sizeof(double) * static_cast<size_t>(block_dims)));
+      if (!KeyInRange(coords, static_cast<int>(block_dims))) {
+        return Status::IoError(
+            "stream checkpoint: non-finite or out-of-range reorder-buffer "
+            "coordinate");
+      }
+      if (id_to_slot_.count(id) != 0 || pending_ids_.count(id) != 0) {
+        return Status::IoError(
+            "stream checkpoint: duplicate reorder-buffer id " +
+            std::to_string(id));
+      }
+      pending_ids_.insert(id);
+      block.Add(id, coords);
+    }
+    if (pending.arrival >= next_arrival_) {
+      return Status::IoError(
+          "stream checkpoint: reorder-buffer arrival sequence skew");
+    }
+    pending.block = std::move(block);
+    reorder_.push_back(std::move(pending));
+  }
+  // Re-establish the canonical (timestamp, source, arrival) order
+  // instead of trusting record order — a hostile snapshot must not be
+  // able to force an out-of-order admission.
+  std::sort(reorder_.begin(), reorder_.end(),
+            [](const PendingBlock& a, const PendingBlock& b) {
+              if (a.block.timestamp != b.block.timestamp) {
+                return a.block.timestamp < b.block.timestamp;
+              }
+              if (a.block.source_id != b.block.source_id) {
+                return a.block.source_id < b.block.source_id;
+              }
+              return a.arrival < b.arrival;
+            });
   DOD_RETURN_IF_ERROR(r.ExpectDone());
 
-  if (config_.summaries) {
-    if (has_summaries) {
-      // Cross-validate the restored summaries against the flagged set: a
-      // saturated bound never sits below k at a round boundary, and a
-      // point is flagged exactly when its exact count is below k.
-      const uint32_t k =
-          static_cast<uint32_t>(config_.params.min_neighbors);
-      for (const auto& entry : id_to_slot_) {
-        const SlotState& state = slots_[entry.second];
-        const bool valid =
-            state.saturated != 0
-                ? state.count >= k && state.flagged == 0
-                : (state.count < k) == (state.flagged != 0);
-        if (!valid) {
-          return Status::IoError(
-              "stream checkpoint: summary for id " +
-              std::to_string(state.stream_id) +
-              " is inconsistent with its verdict");
-        }
+  if (has_summaries != 0) {
+    // Cross-validate the restored summaries against the flagged set: a
+    // saturated bound never sits below k at a round boundary, and a point
+    // is flagged exactly when its exact count is below k.
+    const uint32_t k = static_cast<uint32_t>(config_.params.min_neighbors);
+    for (const auto& entry : id_to_slot_) {
+      const SlotState& state = slots_[entry.second];
+      const bool valid = state.saturated != 0
+                             ? state.count >= k && state.flagged == 0
+                             : (state.count < k) == (state.flagged != 0);
+      if (!valid) {
+        return Status::IoError("stream checkpoint: summary for id " +
+                               std::to_string(state.stream_id) +
+                               " is inconsistent with its verdict");
       }
-    } else {
-      // Summary-less snapshot (version 1, or written with summaries off):
-      // rebuild every resident count deterministically.
-      DOD_RETURN_IF_ERROR(RebuildSummaries());
     }
+  } else {
+    // Summary-less snapshot (written by a build running rounds by
+    // re-detection): rebuild every resident count deterministically.
+    DOD_RETURN_IF_ERROR(RebuildSummaries());
   }
 
   MetricsRegistry& metrics = MetricsRegistry::Global();

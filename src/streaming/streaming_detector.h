@@ -1,7 +1,8 @@
 // Copyright 2026 The DOD Authors.
 //
 // Streaming outlier service: a long-running detector over a sliding window
-// of ingested blocks, re-detecting incrementally instead of from scratch.
+// of ingested blocks, updating verdicts incrementally instead of from
+// scratch.
 //
 // The batch pipeline (core/pipeline.h) answers "which points of this
 // dataset are outliers" by recomputing everything. Production traffic is a
@@ -12,39 +13,27 @@
 //   * Window state lives in a uniform grid keyed exactly like the batch
 //     detectors' grids (detection/cell_key.h): one appendable/expirable
 //     point segment per cell (slot indices into a slot-recycling window
-//     dataset) plus a per-point verdict summary — the collapsed
-//     neighbor-count state |N_r(p)| >= k each point carried out of its
-//     last evaluation.
+//     dataset) plus a per-point verdict and neighbor-count summary.
 //
 //   * Feed(block) appends the block's points, expires blocks that fell out
 //     of the window (count-based, time-based, or both), and computes the
 //     dirty-cell set: every resident cell within the supporting ring of a
 //     touched cell. With cell side s, a neighbor within distance r is at
-//     most ceil(r/s) cells away in Chebyshev distance, so re-detecting the
-//     touched cells plus that ring is exact — untouched cells cannot have
-//     gained or lost a neighbor.
+//     most ceil(r/s) cells away in Chebyshev distance, so untouched cells
+//     outside that ring cannot have gained or lost a neighbor.
 //
-//   * With summaries on (the default), every resident point carries its
-//     neighbor-count summary across rounds: the exact |N_r(p)|, or a
-//     saturated lower bound once counting stopped at k + summary_slack
-//     (the detector early-exit win, preserved). A round then costs
-//     O(new block × ring): batched block×segment kernel calls count the
-//     appended points against each dirty cell's residents (increments) and
-//     the evicted points likewise (decrements); only appended points and
-//     saturated points whose bound dropped below k re-count, through the
-//     same TaskArena/ParallelExecutor staging the detectors use. Counts
-//     are exact integers, so verdict flips — and therefore deltas — stay
-//     byte-identical to the re-detection path below.
-//
-//   * With summaries off (the escape hatch/oracle), dirty cells re-detect
-//     through the existing kernel-backed detectors: each dirty cell stages
-//     its core segment plus the ring cells' points as support into one
-//     TaskArena (the columnar shuffle's shared-SoA layout,
-//     detection/partition_view.h) and runs the configured Detector on the
-//     zero-copy PartitionView, fanned out over a ParallelExecutor.
-//     Verdicts are exact, so either path is byte-identical to a
-//     from-scratch batch run over the current window for every thread
-//     count, kernel mode, and detector choice.
+//   * Every resident point carries its neighbor-count summary across
+//     rounds: the exact |N_r(p)|, or a saturated lower bound once counting
+//     stopped at k + summary_slack (the detector early-exit win,
+//     preserved). A round costs O(new block × ring): batched block×segment
+//     kernel calls count the appended points against each dirty cell's
+//     residents (increments) and the evicted points likewise (decrements);
+//     only appended points and saturated points whose bound dropped below
+//     k re-count, staged core+ring into one TaskArena (the columnar
+//     shuffle's shared-SoA layout, detection/partition_view.h) and fanned
+//     out over a ParallelExecutor. Counts are exact integers, so verdicts
+//     — and therefore deltas — are byte-identical to a from-scratch batch
+//     run over the current window for every thread count and kernel mode.
 //
 //   * The emitted OutlierDelta is the verdict diff: ids newly flagged,
 //     ids newly cleared (verdict flips and flagged points that expired),
@@ -78,23 +67,21 @@
 // fuzzes this against the batch oracle).
 //
 // Durability: with checkpoint_dir set, the full window state (per-source
-// blocks, ids, coordinates, flagged set, round counter — plus each
-// point's count summary when summaries are on, plus the reorder buffer
-// and per-source clocks when a watermark policy is active) is committed
-// to a CheckpointStore every checkpoint_every rounds (watermark mode:
-// every checkpoint_every arrivals, so a kill mid-reorder restores the
-// buffered blocks too); Create(resume=true) restores the latest
-// committed round and the service replays the rest of the schedule to the
-// same verdicts and deltas as an uninterrupted run. Resuming with
-// summaries on from a summary-less checkpoint rebuilds the counts
-// deterministically from the restored window.
+// blocks, ids, coordinates, count summaries, flagged set, round counter —
+// plus the reorder buffer and per-source clocks when a watermark policy is
+// active) is committed to a CheckpointStore every checkpoint_every rounds
+// (watermark mode: every checkpoint_every arrivals, so a kill mid-reorder
+// restores the buffered blocks too); Create(resume=true) restores the
+// latest committed round and the service replays the rest of the schedule
+// to the same verdicts and deltas as an uninterrupted run. A snapshot without
+// summaries (written by a build that could re-detect instead) rebuilds the
+// counts deterministically from the restored window.
 //
-// Observability: every round emits a "stream"/"round" trace span and the
-// stream.* metrics family (rounds, dirty-cell fraction, delta sizes,
-// round latency histogram); summary rounds additionally emit
-// "summary_update"/"summary_recount" spans and the stream.summary.*
-// family (pair/point totals, saturated-point gauge, recount-queue
-// histogram). tools/validate_trace checks the schema with
+// Observability: every round emits "stream"/"round", "summary_update" and
+// "summary_recount" trace spans, the stream.* metrics family (rounds,
+// dirty-cell fraction, delta sizes, round latency histogram) and the
+// stream.summary.* family (pair/point totals, saturated-point gauge,
+// recount-queue histogram). tools/validate_trace checks the schema with
 // --require_streaming.
 
 #ifndef DOD_STREAMING_STREAMING_DETECTOR_H_
@@ -116,7 +103,6 @@
 #include "detection/cell_key.h"
 #include "detection/detector.h"
 #include "durability/checkpoint.h"
-#include "mapreduce/spill.h"
 #include "runtime/parallel_executor.h"
 
 namespace dod {
@@ -144,9 +130,6 @@ struct StreamingConfig {
   // Outlier definition + kernel mode; params.seed drives the per-cell
   // probe-order seeds exactly like the batch reducers.
   DetectionParams params;
-  // Detector run on each dirty cell. Every kind is exact, so the choice
-  // affects cost only, never verdicts.
-  AlgorithmKind algorithm = AlgorithmKind::kCellBased;
   // Threads fanning out over dirty cells; <= 0 uses all hardware threads,
   // 1 runs inline. Deltas are byte-identical for every thread count.
   int num_threads = 1;
@@ -166,13 +149,10 @@ struct StreamingConfig {
   // the in-order Feed contract unchanged.
   WatermarkPolicy watermark;
 
-  // Incremental neighbor-count summaries (the fast path): rounds update
-  // each resident point's persisted |N_r(p)| by counting the appended
-  // block against its supporting ring (and decrementing for evicted
-  // points) instead of re-running the detector over the dirty set.
-  // Verdicts and deltas are byte-identical either way; off is the
-  // re-detection escape hatch and oracle. Excluded from the checkpoint
-  // job key — a run may resume under either mode.
+  // Always true. Rounds run only on neighbor-count summaries; the field
+  // stays declared because existing callers still assign it, and Create
+  // rejects false with kInvalidArgument rather than silently serving the
+  // summary path to a caller that asked for something else.
   bool summaries = true;
   // Saturation slack: counting a point stops at min_neighbors +
   // summary_slack neighbors and the summary is carried as a certified
@@ -191,15 +171,6 @@ struct StreamingConfig {
   // contents or cell identities would shift between rounds. A
   // default-constructed (dims-0) point means the all-zero origin.
   Point grid_origin;
-
-  // Spill policy for batch engine work done on this window's behalf —
-  // the oracle cross-check pipelines dod_stream_cli runs per round, and
-  // any long-window batch re-detection a caller derives from this config.
-  // The streaming fast path keeps its per-round state resident and never
-  // spills itself; carrying the policy here means a memory-capped service
-  // and its verifying batch runs degrade the same way, with verdicts and
-  // deltas byte-identical either way (spilling never changes results).
-  SpillPolicy spill;
 
   // Durability: empty = no checkpointing. With a dir set, the window state
   // commits every `checkpoint_every` rounds (0 = only on Checkpoint()).
@@ -237,15 +208,14 @@ struct StreamRoundStats {
   size_t expired_points = 0;
   size_t resident_points = 0;
   size_t resident_cells = 0;
-  // Cells re-detected this round (touched + supporting ring).
+  // Cells whose summaries were updated this round (touched + supporting
+  // ring).
   size_t dirty_cells = 0;
   // dirty_cells / resident_cells after the update (0 when no cells).
   double dirty_fraction = 0.0;
-  // Summary fast path (config.summaries): whether this round took it, how
-  // many points were fully counted (appended) or re-counted (saturation
-  // bound dropped below k), and the pair totals of the incremental
-  // insert/expiry counting passes. All zero on re-detection rounds.
-  bool summary_path = false;
+  // Points fully counted (appended) or re-counted (saturation bound
+  // dropped below k), and the pair totals of the incremental insert/expiry
+  // counting passes.
   size_t full_counted_points = 0;
   size_t recounted_points = 0;
   uint64_t insert_pairs = 0;
@@ -330,7 +300,7 @@ class StreamingDetector {
   // run over the window contents.
   const std::vector<PointId>& outliers() const { return outliers_; }
   // Resident points whose summary is a saturated lower bound rather than
-  // an exact count; always 0 with summaries off. O(resident points).
+  // an exact count. O(resident points).
   size_t saturated_points() const;
 
  private:
@@ -342,10 +312,9 @@ class StreamingDetector {
     PointId stream_id = 0;
     // Verdict summary from the point's last evaluation (|N_r| < k).
     uint8_t flagged = 0;
-    // Neighbor-count summary (summaries mode): exact |N_r| when
-    // saturated == 0; a certified lower bound — never below min_neighbors
-    // at a round boundary — when saturated != 0. Unmaintained (stale
-    // zeros) with summaries off.
+    // Neighbor-count summary: exact |N_r| when saturated == 0; a certified
+    // lower bound — never below min_neighbors at a round boundary — when
+    // saturated != 0.
     uint32_t count = 0;
     uint8_t saturated = 0;
   };
@@ -381,6 +350,10 @@ class StreamingDetector {
   Status ValidateBlock(const StreamBlock& block) const;
   uint32_t AllocSlot(PointId id, const double* p);
   CellCoord KeyOf(const double* p) const;
+  // Whether p keys into a cell whose supporting ring stays inside the
+  // int32 cell coordinates UniformCellKey produces; false for NaN and
+  // infinities too.
+  bool KeyInRange(const double* p, int dims) const;
 
   // Appends the block's points into slots/cells (no detection); the cell
   // of every appended point is added to `touched`, its slot to
@@ -414,10 +387,6 @@ class StreamingDetector {
   // deduplicated and in deterministic (lexicographic) order.
   std::vector<CellCoord> DirtyCells(std::vector<CellCoord>* touched) const;
 
-  // Re-detects `dirty` and applies verdict flips to `delta`.
-  Status RedetectCells(const std::vector<CellCoord>& dirty,
-                       OutlierDelta* delta);
-
   // Stages `center`'s segment (core) plus its supporting-ring cells
   // (support) into the arena — the exact layout the batch reducers stage.
   void StageCellWithRing(const CellCoord& center, TaskArena* arena) const;
@@ -425,7 +394,7 @@ class StreamingDetector {
   // The saturation cap: min_neighbors + summary_slack, clamped to int.
   int SaturationCap() const;
 
-  // The summary fast path for one round: increments/decrements every dirty
+  // One round's summary update: increments/decrements every dirty
   // cell's resident counts against the appended/evicted point segments,
   // flips verdicts of exact counts, then re-counts appended points and
   // saturated points whose bound fell below k via CountTargets. Applies
@@ -442,7 +411,7 @@ class StreamingDetector {
                       OutlierDelta* delta);
 
   // Full deterministic rebuild of every resident point's summary (resume
-  // from a summary-less checkpoint). Fails with kIoError when the
+  // from a snapshot written without summaries). Fails with kIoError when the
   // recomputed verdicts disagree with the restored flagged set.
   Status RebuildSummaries();
 
@@ -481,7 +450,6 @@ class StreamingDetector {
   uint64_t arrivals_ = 0;
   uint64_t late_dropped_ = 0;
 
-  std::unique_ptr<Detector> detector_;
   std::unique_ptr<ParallelExecutor> executor_;
   std::unique_ptr<CheckpointStore> store_;
 };

@@ -7,6 +7,7 @@
 #include <cstdio>
 #include <fstream>
 #include <limits>
+#include <vector>
 
 #include "data/generators.h"
 
@@ -82,6 +83,38 @@ TEST_F(BinaryIoTest, RejectsNonFinitePayloadValues) {
   poisoned.Append(Point{1.0, 2.0});
   poisoned.Append(Point{std::numeric_limits<double>::quiet_NaN(), 0.0});
   ASSERT_TRUE(WriteBinary(poisoned, path_).ok());
+  const Result<Dataset> read = ReadBinary(path_);
+  ASSERT_FALSE(read.ok());
+  EXPECT_EQ(read.status().code(), StatusCode::kInvalidArgument);
+}
+
+// Writes a DODBIN1 header claiming `count` points of `dims` dimensions,
+// followed by `payload_doubles` zero coordinates.
+void WriteHeader(const std::string& path, uint32_t dims, uint64_t count,
+                 size_t payload_doubles) {
+  std::ofstream out(path, std::ios::binary | std::ios::trunc);
+  const char magic[8] = {'D', 'O', 'D', 'B', 'I', 'N', '1', '\0'};
+  out.write(magic, sizeof(magic));
+  out.write(reinterpret_cast<const char*>(&dims), sizeof(dims));
+  out.write(reinterpret_cast<const char*>(&count), sizeof(count));
+  const std::vector<double> payload(payload_doubles, 0.0);
+  out.write(reinterpret_cast<const char*>(payload.data()),
+            static_cast<std::streamsize>(payload.size() * sizeof(double)));
+}
+
+TEST_F(BinaryIoTest, HugeHeaderCountIsRejectedBeforeAllocating) {
+  // 2^40 two-dimensional points would need 16 TiB; the file holds one
+  // point. Sizing the payload from the header alone throws bad_alloc.
+  WriteHeader(path_, 2, uint64_t{1} << 40, 2);
+  const Result<Dataset> read = ReadBinary(path_);
+  ASSERT_FALSE(read.ok());
+  EXPECT_EQ(read.status().code(), StatusCode::kInvalidArgument);
+}
+
+TEST_F(BinaryIoTest, WrappingHeaderCountIsRejected) {
+  // 2^61 points x 8 dims wraps count * dims to 0 in 64-bit arithmetic, so
+  // an empty payload would read back as an empty dataset.
+  WriteHeader(path_, 8, uint64_t{1} << 61, 0);
   const Result<Dataset> read = ReadBinary(path_);
   ASSERT_FALSE(read.ok());
   EXPECT_EQ(read.status().code(), StatusCode::kInvalidArgument);

@@ -392,7 +392,6 @@ StreamingConfig HostileRestoreConfig(const std::string& dir) {
   config.params.radius = 1.0;
   config.params.min_neighbors = 2;
   config.params.seed = 7;
-  config.summaries = false;
   config.watermark.enabled = true;
   config.watermark.lateness = 5.0;
   config.checkpoint_dir = dir;
@@ -403,6 +402,8 @@ StreamingConfig HostileRestoreConfig(const std::string& dir) {
 // (one source window of two resident points, one buffered block).
 struct V3Knobs {
   std::vector<uint32_t> window_sources = {0};
+  uint32_t window_dims = 2;
+  double resident_coord = 0.0;
   std::vector<std::pair<uint32_t, double>> clocks = {{0, 10.0}};
   uint64_t pending_arrival = 2;
   double pending_ts = 9.0;
@@ -416,8 +417,8 @@ std::string V3StreamPayload(const V3Knobs& k) {
   w.U32(3);  // version
   w.U64(1);  // round
   w.U64(1);  // next_seq
-  w.U32(2);  // dims
-  w.U8(0);   // no persisted summaries
+  w.U32(k.window_dims);
+  w.U8(0);   // no persisted summaries: they rebuild on restore
   w.U64(k.window_sources.size());
   for (size_t s = 0; s < k.window_sources.size(); ++s) {
     w.U32(k.window_sources[s]);
@@ -429,7 +430,7 @@ std::string V3StreamPayload(const V3Knobs& k) {
       w.U64(0);  // seq
       w.F64(8.0);
       w.U64(2);
-      const double p1[2] = {0.0, 0.0};
+      const double p1[2] = {k.resident_coord, 0.0};
       const double p2[2] = {50.0, 50.0};
       w.U32(1);
       w.Raw(p1, sizeof(p1));
@@ -547,6 +548,16 @@ TEST(StreamSnapshotFuzzTest, HostileReorderRecordsAreStructurallyRejected) {
   {
     Case c{"window source ids not strictly ascending", {}};
     c.knobs.window_sources = {1, 1};
+    cases.push_back(c);
+  }
+  {
+    Case c{"resident points in a window without dims", {}};
+    c.knobs.window_dims = 0;
+    cases.push_back(c);
+  }
+  {
+    Case c{"resident coordinate outside the grid's cell range", {}};
+    c.knobs.resident_coord = 1e300;
     cases.push_back(c);
   }
 

@@ -143,6 +143,22 @@ TEST(CliSmokeTest, BadStrategyIsRejected) {
   EXPECT_NE(result.output.find("unknown --strategy"), std::string::npos);
 }
 
+TEST(CliSmokeTest, TooManyColumnsExitsWithMessage) {
+  // A 9-entry --columns list is past kMaxDimensions: exit 1 with a
+  // message, not a signal.
+  const std::string in_path = testing::TempDir() + "/cli_smoke_wide.csv";
+  FILE* f = fopen(in_path.c_str(), "w");
+  ASSERT_NE(f, nullptr);
+  fputs("0,1,2,3,4,5,6,7,8\n", f);
+  fclose(f);
+  const CommandResult result =
+      RunCommand("--input " + in_path + " --columns 0,1,2,3,4,5,6,7,8");
+  EXPECT_EQ(result.exit_code, 1) << result.output;
+  EXPECT_NE(result.output.find("columns"), std::string::npos)
+      << result.output;
+  std::remove(in_path.c_str());
+}
+
 TEST(CliSmokeTest, MissingInputFileIsRejected) {
   const CommandResult result = RunCommand("--input /no/such/file.csv");
   EXPECT_NE(result.exit_code, 0);

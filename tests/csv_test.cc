@@ -89,6 +89,17 @@ TEST_F(CsvTest, MissingColumnIsAnError) {
   EXPECT_FALSE(ReadCsv(path_, options).ok());
 }
 
+TEST_F(CsvTest, MoreColumnsThanMaxDimensionsIsAnError) {
+  // Nine selected columns would build a 9-dimensional dataset, past
+  // kMaxDimensions: a structured error, not an abort.
+  WriteFile("0,1,2,3,4,5,6,7,8\n");
+  CsvOptions options;
+  options.columns = {0, 1, 2, 3, 4, 5, 6, 7, 8};
+  const Result<Dataset> read = ReadCsv(path_, options);
+  ASSERT_FALSE(read.ok());
+  EXPECT_EQ(read.status().code(), StatusCode::kInvalidArgument);
+}
+
 TEST_F(CsvTest, MissingFileIsIoError) {
   Result<Dataset> read = ReadCsv("/nonexistent/dir/file.csv");
   ASSERT_FALSE(read.ok());

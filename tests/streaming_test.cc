@@ -5,9 +5,9 @@
 // *neighbor's* expiry, duplicate-id rejection, empty feeds), the central
 // oracle property — after every round the incremental outlier set is
 // byte-identical to a from-scratch batch pipeline run over the window, for
-// every thread count × kernel mode × shuffle mode — the summary fast path
-// (saturation edges, randomized per-round delta equality against the
-// re-detection oracle across expiry patterns and configurations) — and
+// every thread count × kernel mode × shuffle mode — the neighbor-count
+// summaries (saturation edges, randomized per-round equality against a
+// centralized detector across expiry patterns and configurations) — and
 // checkpoint/resume reproducing the uninterrupted run's deltas exactly,
 // including summary rebuilds from summary-less checkpoints.
 
@@ -21,6 +21,8 @@
 #include "detection/cell_key.h"
 #include "detection/grid.h"
 #include "core/pipeline.h"
+#include "durability/checkpoint.h"
+#include "durability/payload.h"
 #include "streaming/streaming_detector.h"
 
 #include "gtest/gtest.h"
@@ -137,7 +139,29 @@ TEST(StreamingDetectorTest, RejectsDimensionMismatchAndNonFinite) {
   nan_block.Add(2, bad);
   EXPECT_EQ(detector.Feed(nan_block).status().code(),
             StatusCode::kInvalidArgument);
+
+  // Finite, but its cell index does not fit the int32 cell coordinates.
+  StreamBlock far_block(2);
+  const double far[2] = {1e300, 0.0};
+  far_block.Add(3, far);
+  EXPECT_EQ(detector.Feed(far_block).status().code(),
+            StatusCode::kInvalidArgument);
   EXPECT_EQ(detector.resident_points(), 1u);
+}
+
+TEST(StreamingDetectorTest, CreateRejectsUnsupportedConfigs) {
+  // The re-detection path is gone: a caller asking for it is refused, not
+  // silently served the summaries.
+  StreamingConfig no_summaries = BaseConfig(1.0, 2);
+  no_summaries.summaries = false;
+  EXPECT_EQ(StreamingDetector::Create(no_summaries).status().code(),
+            StatusCode::kInvalidArgument);
+  // A cell side this far below the radius would need a supporting ring
+  // wider than the int32 cell coordinates can walk.
+  StreamingConfig tiny_cells = BaseConfig(1.0, 2);
+  tiny_cells.cell_side = 1e-12;
+  EXPECT_EQ(StreamingDetector::Create(tiny_cells).status().code(),
+            StatusCode::kInvalidArgument);
 }
 
 TEST(StreamingDetectorTest, EntireCellExpiryClearsItsOutliers) {
@@ -198,7 +222,6 @@ TEST(StreamingDetectorTest, SaturatedPointWhoseNeighborsExpireFlipsSameRound) {
   // below k. r=1, k=2, window of 2 blocks.
   StreamingConfig config = BaseConfig(1.0, 2);
   config.window_blocks = 2;
-  config.summaries = true;
   config.summary_slack = 0;
   auto created = StreamingDetector::Create(config);
   ASSERT_TRUE(created.ok()) << created.status().ToString();
@@ -215,7 +238,6 @@ TEST(StreamingDetectorTest, SaturatedPointWhoseNeighborsExpireFlipsSameRound) {
   // 1 -> 2 through the incremental insert pass.
   auto second = detector.Feed(MakeBlock({{2, {0.5, 0.5}}}));
   ASSERT_TRUE(second.ok());
-  EXPECT_TRUE(second.value().stats.summary_path);
   EXPECT_EQ(second.value().stats.full_counted_points, 1u);
   EXPECT_EQ(second.value().newly_cleared, (std::vector<PointId>{0, 1}));
   EXPECT_TRUE(detector.outliers().empty());
@@ -231,19 +253,6 @@ TEST(StreamingDetectorTest, SaturatedPointWhoseNeighborsExpireFlipsSameRound) {
   EXPECT_TRUE(third.value().newly_cleared.empty());
   EXPECT_EQ(detector.outliers(), (std::vector<PointId>{2, 3}));
   EXPECT_EQ(detector.saturated_points(), 0u);
-
-  // The re-detection path produces the identical delta sequence.
-  config.summaries = false;
-  auto oracle = StreamingDetector::Create(config);
-  ASSERT_TRUE(oracle.ok());
-  ASSERT_TRUE(
-      oracle.value()->Feed(MakeBlock({{0, {0.1, 0.1}}, {1, {0.2, 0.1}}})).ok());
-  ASSERT_TRUE(oracle.value()->Feed(MakeBlock({{2, {0.5, 0.5}}})).ok());
-  auto oracle_third = oracle.value()->Feed(MakeBlock({{3, {40.0, 40.0}}}));
-  ASSERT_TRUE(oracle_third.ok());
-  EXPECT_FALSE(oracle_third.value().stats.summary_path);
-  EXPECT_EQ(oracle_third.value().newly_flagged, third.value().newly_flagged);
-  EXPECT_EQ(oracle.value()->outliers(), detector.outliers());
 }
 
 // ---------------------------------------------------------------------------
@@ -300,24 +309,18 @@ TEST(StreamingPropertyTest, MatchesBatchPipelineAcrossConfigs) {
     int threads;
     KernelMode kernels;
     ShuffleMode shuffle;
-    AlgorithmKind algorithm;
   };
   const std::vector<Case> cases = {
-      {1, KernelMode::kScalar, ShuffleMode::kColumnar,
-       AlgorithmKind::kCellBased},
-      {4, KernelMode::kAuto, ShuffleMode::kColumnar,
-       AlgorithmKind::kCellBased},
-      {8, KernelMode::kAuto, ShuffleMode::kSorted,
-       AlgorithmKind::kNestedLoop},
-      {4, KernelMode::kScalar, ShuffleMode::kSorted,
-       AlgorithmKind::kBruteForce},
+      {1, KernelMode::kScalar, ShuffleMode::kColumnar},
+      {4, KernelMode::kAuto, ShuffleMode::kColumnar},
+      {8, KernelMode::kAuto, ShuffleMode::kSorted},
+      {4, KernelMode::kScalar, ShuffleMode::kSorted},
   };
 
   std::vector<std::vector<PointId>> outliers_by_case;
   for (const Case& c : cases) {
     StreamingConfig config = BaseConfig(radius, k);
     config.params.kernels = c.kernels;
-    config.algorithm = c.algorithm;
     config.num_threads = c.threads;
     config.window_blocks = schedule.window_blocks;
 
@@ -364,10 +367,10 @@ TEST(StreamingPropertyTest, MatchesBatchPipelineAcrossConfigs) {
 }
 
 TEST(StreamingPropertyTest, SpilledOracleBatchYieldsIdenticalVerdicts) {
-  // The spill policy a streaming service carries is forwarded to the batch
-  // pipelines run on its behalf (dod_stream_cli's per-round oracle). A
-  // spilling oracle must agree with the streaming detector verdict for
-  // verdict, round by round — spilling is invisible in batch output.
+  // The batch pipelines run on a stream's behalf (dod_stream_cli's
+  // per-round oracle) may spill their shuffle. A spilling oracle must
+  // agree with the streaming detector verdict for verdict, round by round
+  // — spilling is invisible in batch output.
   StreamSchedule schedule;
   schedule.data = GenerateUniform(600, DomainForDensity(600, 2.0), 41);
   schedule.block_size = 100;
@@ -380,13 +383,11 @@ TEST(StreamingPropertyTest, SpilledOracleBatchYieldsIdenticalVerdicts) {
                                 std::to_string(::getpid());
   std::error_code ec;
   fs::remove_all(spill_dir, ec);
-  config.spill.dir = spill_dir;
-  config.spill.threshold_bytes = 256;
 
   DodConfig oracle = DodConfig::Dmt(config.params);
   oracle.num_threads = config.num_threads;
   oracle.seed = config.params.seed;
-  oracle.spill_dir = config.spill.dir;
+  oracle.spill_dir = spill_dir;
   oracle.spill_threshold_mb = 1;
   DodConfig in_memory_oracle = oracle;
   in_memory_oracle.spill_dir.clear();
@@ -410,15 +411,17 @@ TEST(StreamingPropertyTest, SpilledOracleBatchYieldsIdenticalVerdicts) {
 }
 
 // ---------------------------------------------------------------------------
-// Summary maintenance vs re-detection: the two paths must emit identical
-// per-round deltas on randomized schedules — across seeds, expiry patterns
-// (count- and time-based windows) and runtime configurations.
+// Summary maintenance vs a centralized detector: after every round of a
+// randomized schedule, the delta-reconstructed outlier set must equal a
+// from-scratch centralized run over the current window — across seeds,
+// expiry patterns (count- and time-based windows) and runtime
+// configurations.
 
-TEST(StreamingPropertyTest, SummariesMatchRedetectionAcrossConfigs) {
+TEST(StreamingPropertyTest, SummariesMatchCentralizedOracleAcrossConfigs) {
   struct Case {
     int threads;
     KernelMode kernels;
-    AlgorithmKind algorithm;
+    AlgorithmKind oracle_algorithm;
     int slack;
   };
   const std::vector<Case> cases = {
@@ -441,7 +444,6 @@ TEST(StreamingPropertyTest, SummariesMatchRedetectionAcrossConfigs) {
                      " case=" + std::to_string(c));
         StreamingConfig config = BaseConfig(1.5, 4);
         config.params.kernels = cases[c].kernels;
-        config.algorithm = cases[c].algorithm;
         config.num_threads = cases[c].threads;
         config.summary_slack = cases[c].slack;
         if (time_window) {
@@ -452,13 +454,11 @@ TEST(StreamingPropertyTest, SummariesMatchRedetectionAcrossConfigs) {
         } else {
           config.window_blocks = schedule.window_blocks;
         }
+        auto created = StreamingDetector::Create(config);
+        ASSERT_TRUE(created.ok()) << created.status().ToString();
+        StreamingDetector& detector = *created.value();
 
-        config.summaries = true;
-        auto with = StreamingDetector::Create(config);
-        config.summaries = false;
-        auto without = StreamingDetector::Create(config);
-        ASSERT_TRUE(with.ok() && without.ok());
-
+        std::vector<PointId> running;  // delta-reconstructed outlier set
         for (size_t b = 0; b < schedule.num_blocks(); ++b) {
           StreamBlock block(schedule.data.dims());
           for (size_t i = schedule.begin(b); i < schedule.end(b); ++i) {
@@ -466,24 +466,41 @@ TEST(StreamingPropertyTest, SummariesMatchRedetectionAcrossConfigs) {
                       schedule.data[static_cast<PointId>(i)]);
           }
           block.timestamp = static_cast<double>(b);
-          auto fast = with.value()->Feed(block);
-          auto oracle = without.value()->Feed(block);
-          ASSERT_TRUE(fast.ok()) << fast.status().ToString();
-          ASSERT_TRUE(oracle.ok()) << oracle.status().ToString();
-          EXPECT_TRUE(fast.value().stats.summary_path);
-          EXPECT_FALSE(oracle.value().stats.summary_path);
-          ASSERT_EQ(fast.value().newly_flagged, oracle.value().newly_flagged)
-              << "round " << (b + 1);
-          ASSERT_EQ(fast.value().newly_cleared, oracle.value().newly_cleared)
-              << "round " << (b + 1);
-          ASSERT_EQ(with.value()->outliers(), without.value()->outliers());
+          auto fed = detector.Feed(block);
+          ASSERT_TRUE(fed.ok()) << fed.status().ToString();
+          std::vector<PointId> next;
+          std::set_difference(running.begin(), running.end(),
+                              fed.value().newly_cleared.begin(),
+                              fed.value().newly_cleared.end(),
+                              std::back_inserter(next));
+          running.clear();
+          std::merge(next.begin(), next.end(),
+                     fed.value().newly_flagged.begin(),
+                     fed.value().newly_flagged.end(),
+                     std::back_inserter(running));
+          ASSERT_EQ(running, detector.outliers()) << "round " << (b + 1);
+
+          Dataset window(schedule.data.dims());
+          std::vector<PointId> window_ids;
+          for (size_t w = schedule.first_resident(b + 1); w <= b; ++w) {
+            for (size_t i = schedule.begin(w); i < schedule.end(w); ++i) {
+              window.Append(schedule.data[static_cast<PointId>(i)]);
+              window_ids.push_back(static_cast<PointId>(i));
+            }
+          }
+          std::vector<PointId> expected;
+          for (PointId local : DetectOutliersCentralized(
+                   window, cases[c].oracle_algorithm, config.params)) {
+            expected.push_back(window_ids[local]);
+          }
+          std::sort(expected.begin(), expected.end());
+          ASSERT_EQ(running, expected) << "round " << (b + 1);
         }
         if (cases[c].slack == 0) {
           // Zero slack caps counting at k: dense uniform data must leave
-          // saturated lower bounds behind (and none on the oracle side).
-          EXPECT_GT(with.value()->saturated_points(), 0u);
+          // saturated lower bounds behind.
+          EXPECT_GT(detector.saturated_points(), 0u);
         }
-        EXPECT_EQ(without.value()->saturated_points(), 0u);
       }
     }
   }
@@ -570,61 +587,99 @@ TEST(StreamingCheckpointTest, ResumeReproducesRemainingDeltas) {
 }
 
 TEST(StreamingCheckpointTest, SummariesResumeFromSummaryLessCheckpoint) {
-  // The summaries flag is excluded from the job key: a service may resume
-  // under either mode. Resuming with summaries *on* from a checkpoint
-  // written with them *off* (no persisted counts) must rebuild every
-  // summary deterministically and replay the identical deltas.
+  // Builds that could run rounds by re-detection wrote version-3 snapshots
+  // with has_summaries = 0 (no persisted counts). Resuming from one must
+  // rebuild every summary deterministically and replay the identical
+  // deltas. The snapshot is written out of band, byte for byte as such a
+  // build laid it out.
   StreamSchedule schedule;
   schedule.data = GenerateUniform(600, DomainForDensity(600, 2.0), 13);
   schedule.block_size = 60;
   schedule.window_blocks = 3;
 
-  auto feed_block = [&](StreamingDetector& detector,
-                        size_t b) -> Result<OutlierDelta> {
+  auto make_block = [&](size_t b) {
     StreamBlock block(schedule.data.dims());
     for (size_t i = schedule.begin(b); i < schedule.end(b); ++i) {
       block.Add(static_cast<PointId>(i),
                 schedule.data[static_cast<PointId>(i)]);
     }
-    return detector.Feed(block);
+    return block;
   };
 
   StreamingConfig config = BaseConfig(1.5, 4);
   config.window_blocks = schedule.window_blocks;
   config.job_tag = "rebuild-test";
 
-  // Reference: uninterrupted run (mode is irrelevant to the deltas).
+  // Reference: uninterrupted run, remembering the outlier set after `stop`.
+  const size_t stop = 5;
   std::vector<std::pair<std::vector<PointId>, std::vector<PointId>>> full;
+  std::vector<PointId> outliers_at_stop;
   {
     auto created = StreamingDetector::Create(config);
     ASSERT_TRUE(created.ok());
     for (size_t b = 0; b < schedule.num_blocks(); ++b) {
-      auto fed = feed_block(*created.value(), b);
+      auto fed = created.value()->Feed(make_block(b));
       ASSERT_TRUE(fed.ok());
       full.emplace_back(fed.value().newly_flagged, fed.value().newly_cleared);
+      if (b + 1 == stop) outliers_at_stop = created.value()->outliers();
     }
   }
 
-  const size_t stop = 5;
-  TempDir dir("dod-streaming-rebuild");
-  config.checkpoint_dir = dir.str();
-  config.summaries = false;  // checkpoint carries no count summaries
-  {
-    auto created = StreamingDetector::Create(config);
-    ASSERT_TRUE(created.ok());
-    for (size_t b = 0; b < stop; ++b) {
-      ASSERT_TRUE(feed_block(*created.value(), b).ok());
+  // The summary-less snapshot of round `stop`: blocks [stop - W, stop) of
+  // source 0, one block per round (seq = block index), no time window.
+  PayloadWriter w;
+  w.U32(3);     // version
+  w.U64(stop);  // round
+  w.U64(stop);  // next_seq
+  w.U32(static_cast<uint32_t>(schedule.data.dims()));
+  w.U8(0);  // has_summaries
+  w.U64(1);  // sources
+  w.U32(0);  // source id
+  w.U8(0);   // saw_timestamp
+  w.F64(0.0);  // high water
+  w.U64(schedule.window_blocks);
+  for (size_t b = schedule.first_resident(stop); b < stop; ++b) {
+    w.U64(b);  // seq
+    w.F64(0.0);  // timestamp
+    w.U64(schedule.end(b) - schedule.begin(b));
+    for (size_t i = schedule.begin(b); i < schedule.end(b); ++i) {
+      w.U32(static_cast<uint32_t>(i));
+      w.Raw(schedule.data[static_cast<PointId>(i)],
+            sizeof(double) * static_cast<size_t>(schedule.data.dims()));
     }
   }
+  w.U64(outliers_at_stop.size());
+  for (PointId id : outliers_at_stop) w.U32(id);
+  w.U64(stop);  // arrivals
+  w.U64(0);     // late_dropped
+  w.U8(0);      // saw_arrival
+  w.F64(0.0);   // global max ts
+  w.U64(0);     // next_arrival
+  w.U64(0);     // watermark clocks
+  w.U64(0);     // buffered blocks
+
+  TempDir dir("dod-streaming-rebuild");
+  config.checkpoint_dir = dir.str();
+  {
+    auto store =
+        CheckpointStore::Open(dir.str(), StreamingDetector::JobKeyFor(config),
+                              /*resume=*/false);
+    ASSERT_TRUE(store.ok()) << store.status().ToString();
+    ASSERT_TRUE(store.value()
+                    ->CommitTask("stream", static_cast<int>(stop), w.str())
+                    .ok());
+    PayloadWriter latest;
+    latest.U64(stop);
+    ASSERT_TRUE(store.value()->CommitTask("latest", 0, latest.str()).ok());
+  }
   config.resume = true;
-  config.summaries = true;  // resumed service rebuilds summaries
   auto resumed = StreamingDetector::Create(config);
   ASSERT_TRUE(resumed.ok()) << resumed.status().ToString();
   EXPECT_EQ(resumed.value()->rounds(), stop);
+  EXPECT_EQ(resumed.value()->outliers(), outliers_at_stop);
   for (size_t b = stop; b < schedule.num_blocks(); ++b) {
-    auto fed = feed_block(*resumed.value(), b);
+    auto fed = resumed.value()->Feed(make_block(b));
     ASSERT_TRUE(fed.ok()) << fed.status().ToString();
-    EXPECT_TRUE(fed.value().stats.summary_path);
     EXPECT_EQ(fed.value().newly_flagged, full[b].first) << "round " << b + 1;
     EXPECT_EQ(fed.value().newly_cleared, full[b].second) << "round " << b + 1;
   }

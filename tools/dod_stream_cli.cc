@@ -64,13 +64,8 @@ Outlier definition:
 Streaming service:
   --window W             resident blocks in the sliding window (default 8)
   --cell_side S          grid cell side (default: r)
-  --algorithm A          nested_loop | cell_based | brute_force
-                         (default cell_based; all exact, verdicts identical)
   --threads N            threads fanning out over dirty cells (default 1;
                          0 = all hardware threads; deltas identical)
-  --summaries MODE       on (default) | off — incremental neighbor-count
-                         summaries vs full dirty-cell re-detection
-                         (escape hatch; deltas identical either way)
   --summary_slack N      saturation slack: counting stops at k + N and
                          carries a lower bound (default 32; cost only)
 
@@ -252,27 +247,9 @@ int main(int argc, char** argv) {
   if (!dod::ParseKernelMode(kernels, &config.params.kernels)) {
     return Fail("--kernels must be scalar or auto");
   }
-  const std::string algorithm = flags.GetStringOr("algorithm", "cell_based");
-  if (algorithm == "nested_loop" || algorithm == "nl") {
-    config.algorithm = dod::AlgorithmKind::kNestedLoop;
-  } else if (algorithm == "cell_based" || algorithm == "cb") {
-    config.algorithm = dod::AlgorithmKind::kCellBased;
-  } else if (algorithm == "brute_force" || algorithm == "bf") {
-    config.algorithm = dod::AlgorithmKind::kBruteForce;
-  } else {
-    return Fail("unknown --algorithm " + algorithm);
-  }
   config.num_threads = static_cast<int>(threads_flag.value());
   config.window_blocks = schedule.window_blocks;
   config.cell_side = cell_side_flag.value();
-  const std::string summaries = flags.GetStringOr("summaries", "on");
-  if (summaries == "on") {
-    config.summaries = true;
-  } else if (summaries == "off") {
-    config.summaries = false;
-  } else {
-    return Fail("--summaries must be on or off");
-  }
   if (slack_flag.value() < 0) return Fail("--summary_slack must be >= 0");
   config.summary_slack = static_cast<int>(slack_flag.value());
   // --lateness (any value >= 0) switches the replay from in-order Feed to
@@ -317,20 +294,15 @@ int main(int argc, char** argv) {
   if (!dod::ParseShuffleMode(shuffle, &oracle_config.shuffle)) {
     return Fail("--shuffle must be sorted or columnar");
   }
-  // Spill policy: carried on the streaming config and inherited by every
-  // batch engine invocation made on the window's behalf (here, the oracle
-  // pipelines). Spilling never changes verdicts, so the oracle comparison
-  // is as strict as ever.
-  config.spill.dir = flags.GetStringOr("spill_dir", "");
+  // Spill policy of the oracle pipelines' shuffle. Spilling never changes
+  // verdicts, so the oracle comparison is as strict as ever.
+  oracle_config.spill_dir = flags.GetStringOr("spill_dir", "");
   auto spill_mb = flags.GetInt("spill_threshold_mb", 0);
   if (!spill_mb.ok()) return Fail(spill_mb.status().ToString());
   if (spill_mb.value() < 0) return Fail("--spill_threshold_mb must be >= 0");
-  if (spill_mb.value() > 0 && config.spill.dir.empty()) {
+  if (spill_mb.value() > 0 && oracle_config.spill_dir.empty()) {
     return Fail("--spill_threshold_mb requires --spill_dir");
   }
-  config.spill.threshold_bytes =
-      static_cast<uint64_t>(spill_mb.value()) * (uint64_t{1} << 20);
-  oracle_config.spill_dir = config.spill.dir;
   oracle_config.spill_threshold_mb = static_cast<uint64_t>(spill_mb.value());
 
   const bool oracle = flags.GetBoolOr("oracle", false);

@@ -24,16 +24,17 @@
 //
 // With --require_streaming the run must have come from the streaming
 // service (dod_stream_cli): the trace must hold at least one
-// "stream"-category span — with summary_update/summary_recount spans
-// appearing in lockstep and reorder_admit spans carrying their numeric
-// args — and the metrics dump must carry the stream.*, stream.summary.*
-// and stream.watermark.* schemas (round/delta/pair/late-drop counters,
+// "stream"-category span — summary_update spans whenever stream/round
+// spans exist, summary_update/summary_recount spans appearing in
+// lockstep, and reorder_admit spans carrying their numeric args — and the
+// metrics dump must carry the stream.*, stream.summary.* and
+// stream.watermark.* schemas (round/delta/pair/late-drop counters,
 // dirty-fraction, round-latency and recount-queue histograms,
 // resident/saturated-point and buffered-block/source gauges) with at
-// least one completed round and the two path counters summing to
-// stream.rounds.
+// least one completed round and stream.summary.rounds equal to
+// stream.rounds (every round runs on the summaries).
 // Streaming runs pass --min_task_spans 0 --min_partitions 0 — the
-// incremental path re-detects cells directly, without MapReduce tasks or
+// streaming service updates cells directly, without MapReduce tasks or
 // partition profiles.
 //
 // Exits 0 when both documents validate, 1 with a diagnostic otherwise.
@@ -87,6 +88,7 @@ int ValidateTrace(const dod::JsonValue& doc, long long min_task_spans,
   long long spill_spans = 0;
   long long merge_spans = 0;
   long long stream_spans = 0;
+  long long round_spans = 0;
   long long summary_update_spans = 0;
   long long summary_recount_spans = 0;
   long long reorder_admit_spans = 0;
@@ -130,7 +132,9 @@ int ValidateTrace(const dod::JsonValue& doc, long long min_task_spans,
     if (event.Get("cat").string_value() == "stream") {
       ++stream_spans;
       const std::string& name = event.Get("name").string_value();
-      if (name == "reorder_admit") {
+      if (name == "round") {
+        ++round_spans;
+      } else if (name == "reorder_admit") {
         ++reorder_admit_spans;
         for (const char* key : {"source", "arrival", "buffered"}) {
           if (!event.Get("args").Get(key).is_number()) {
@@ -174,9 +178,13 @@ int ValidateTrace(const dod::JsonValue& doc, long long min_task_spans,
     return Fail("trace: no shuffle_spill spans in a run that required "
                 "spilling");
   }
-  // Summary rounds emit the update and re-count spans in lockstep; a run
-  // with one but not the other dropped half the fast path's telemetry.
-  // (A summaries-off run legitimately has neither.)
+  // Every round runs the summary update, and the update and re-count
+  // spans come in lockstep; a run missing either dropped the round's
+  // telemetry.
+  if (require_streaming && round_spans > 0 && summary_update_spans == 0) {
+    return Fail("trace: " + std::to_string(round_spans) +
+                " stream/round spans but no summary_update spans");
+  }
   if (require_streaming &&
       (summary_update_spans == 0) != (summary_recount_spans == 0)) {
     return Fail("trace: " + std::to_string(summary_update_spans) +
@@ -292,7 +300,7 @@ int ValidateStreamingMetrics(const dod::JsonValue& metrics) {
   for (const char* name :
        {"stream.rounds", "stream.cells_redetected", "stream.delta_flagged",
         "stream.delta_cleared", "stream.summary.rounds",
-        "stream.summary.rounds_bypassed", "stream.summary.insert_count_pairs",
+        "stream.summary.insert_count_pairs",
         "stream.summary.expiry_count_pairs",
         "stream.summary.full_count_points",
         "stream.summary.recount_points", "stream.late_dropped",
@@ -336,21 +344,18 @@ int ValidateStreamingMetrics(const dod::JsonValue& metrics) {
     return Fail("metrics: stream.rounds == 0 in a run that required "
                 "streaming");
   }
-  // Every round takes exactly one of the two paths.
+  // Every round runs on the summaries.
   const double summary_rounds =
       counters.Get("stream.summary.rounds").number_value();
-  const double bypassed =
-      counters.Get("stream.summary.rounds_bypassed").number_value();
-  if (summary_rounds + bypassed != rounds) {
+  if (summary_rounds != rounds) {
     return Fail("metrics: stream.summary.rounds (" +
-                std::to_string(summary_rounds) + ") + rounds_bypassed (" +
-                std::to_string(bypassed) + ") != stream.rounds (" +
+                std::to_string(summary_rounds) + ") != stream.rounds (" +
                 std::to_string(rounds) + ")");
   }
   std::printf(
-      "streaming ok: %.0f rounds (%.0f summary, %.0f re-detect), %.0f cells "
-      "re-detected, %.0f reorder-admitted, %.0f late-dropped\n",
-      rounds, summary_rounds, bypassed,
+      "streaming ok: %.0f rounds, %.0f dirty cells updated, %.0f "
+      "reorder-admitted, %.0f late-dropped\n",
+      rounds,
       counters.Get("stream.cells_redetected").number_value(),
       reorder_admitted, late_dropped);
   return EXIT_SUCCESS;
