@@ -6,9 +6,11 @@
 //
 // Two sections:
 //
-//   1. Grouping micro-bench: GroupBucket on one reduce-task bucket of
-//      ~100k records, best-of-repeats, reported as records/sec per mode
-//      plus the columnar/sorted speedup.
+//   1. Grouping micro-bench: GroupSegments on one reduce task's input of
+//      ~100k records held as one memory segment, best-of-repeats, reported
+//      as records/sec per mode plus the columnar/sorted speedup. The same
+//      records cut into 32 memory segments (one per map task, as the
+//      engine hands them over) are reported alongside, ungated.
 //
 //   2. Spill regime: the same bucket written out as sorted runs and
 //      grouped straight off disk — the columnar two-pass histogram for the
@@ -48,7 +50,7 @@ namespace {
 
 using dod::GroupedView;
 using dod::ShuffleMode;
-using dod::internal::GroupBucket;
+using dod::internal::FallbackReason;
 using dod::internal::GroupPath;
 using dod::internal::GroupScratch;
 
@@ -93,25 +95,40 @@ struct GroupingPoint {
   uint64_t checksum = 0;  // defeats dead-code elimination; equality-checked
 };
 
-// Best-of-`repeats` grouping throughput. The sorted path mutates its
-// bucket, so every iteration regroups a fresh copy; the copy is outside
-// the timed region for both modes to keep the comparison clean.
+// Best-of-`repeats` grouping throughput over `pristine` cut into
+// `num_segments` consecutive memory segments. The sorted path sorts its
+// segments in place, so every iteration regroups fresh copies; the copy
+// is outside the timed region for both modes to keep the comparison clean.
 GroupingPoint MeasureGrouping(const Bucket& pristine, ShuffleMode mode,
-                              int repeats) {
+                              int repeats, size_t num_segments) {
   GroupingPoint point;
   double best_seconds = 0.0;
   for (int rep = 0; rep < repeats; ++rep) {
-    Bucket bucket = pristine;
+    std::vector<Bucket> slices(num_segments);
+    std::vector<dod::internal::ShuffleSegment<uint32_t, uint32_t>> segments;
+    for (size_t i = 0; i < num_segments; ++i) {
+      slices[i].assign(pristine.begin() + pristine.size() * i / num_segments,
+                       pristine.begin() +
+                           pristine.size() * (i + 1) / num_segments);
+      segments.push_back({&slices[i], nullptr});
+    }
     GroupScratch<uint32_t, uint32_t> scratch;
     GroupPath path;
+    FallbackReason reason;
     dod::StopWatch watch;
-    const GroupedView<uint32_t, uint32_t> groups =
-        GroupBucket(bucket, mode, &scratch, &path);
+    auto grouped = dod::internal::GroupSegments(segments, mode, &scratch,
+                                                &path, &reason,
+                                                /*budget=*/nullptr);
     const double seconds = watch.ElapsedSeconds();
+    if (!grouped.ok()) {
+      std::fprintf(stderr, "FATAL: in-memory grouping failed\n");
+      std::exit(1);
+    }
     if (mode == ShuffleMode::kColumnar && path != GroupPath::kColumnar) {
       std::fprintf(stderr, "FATAL: dense bucket fell back to sorting\n");
       std::exit(1);
     }
+    const GroupedView<uint32_t, uint32_t>& groups = grouped.value();
     uint64_t checksum = 0;
     for (size_t g = 0; g < groups.num_groups(); ++g) {
       checksum += static_cast<uint64_t>(groups.key(g)) * groups.size(g);
@@ -183,7 +200,7 @@ SpillRegimePoint MeasureSpillRegime(const Bucket& pristine, int repeats,
     }
     GroupScratch<uint32_t, uint32_t> scratch;
     GroupPath path;
-    dod::internal::FallbackReason reason;
+    FallbackReason reason;
     auto grouped = dod::internal::GroupSegments(
         segments, ShuffleMode::kColumnar, &scratch, &path, &reason,
         /*budget=*/nullptr);
@@ -199,7 +216,7 @@ SpillRegimePoint MeasureSpillRegime(const Bucket& pristine, int repeats,
     // read-only; only memory segments get sorted in place).
     GroupScratch<uint32_t, uint32_t> merge_scratch;
     GroupPath merge_path;
-    dod::internal::FallbackReason merge_reason;
+    FallbackReason merge_reason;
     dod::StopWatch merge_watch;
     auto merged = dod::internal::GroupSegments(
         segments, ShuffleMode::kSorted, &merge_scratch, &merge_path,
@@ -250,22 +267,35 @@ int main() {
       "best-of-repeats grouping throughput, then the full pipeline under\n"
       "both --shuffle modes with the outlier set asserted identical.");
 
-  const GroupingPoint sorted =
-      MeasureGrouping(bucket, ShuffleMode::kSorted, /*repeats=*/7);
-  const GroupingPoint columnar =
-      MeasureGrouping(bucket, ShuffleMode::kColumnar, /*repeats=*/7);
-  if (sorted.checksum != columnar.checksum ||
-      sorted.groups != columnar.groups) {
-    std::fprintf(stderr, "FATAL: grouping paths disagree\n");
-    return 1;
+  const GroupingPoint sorted = MeasureGrouping(
+      bucket, ShuffleMode::kSorted, /*repeats=*/7, /*num_segments=*/1);
+  const GroupingPoint columnar = MeasureGrouping(
+      bucket, ShuffleMode::kColumnar, /*repeats=*/7, /*num_segments=*/1);
+  const GroupingPoint sorted32 = MeasureGrouping(
+      bucket, ShuffleMode::kSorted, /*repeats=*/7, /*num_segments=*/32);
+  const GroupingPoint columnar32 = MeasureGrouping(
+      bucket, ShuffleMode::kColumnar, /*repeats=*/7, /*num_segments=*/32);
+  for (const GroupingPoint* point : {&columnar, &sorted32, &columnar32}) {
+    if (point->checksum != sorted.checksum || point->groups != sorted.groups) {
+      std::fprintf(stderr, "FATAL: grouping paths disagree\n");
+      return 1;
+    }
   }
   const double speedup = columnar.records_per_sec / sorted.records_per_sec;
 
   std::printf("%zu records, %zu cell groups\n\n", records, sorted.groups);
-  std::printf("%10s %16s %9s\n", "mode", "records/sec", "speedup");
-  std::printf("%10s %16.0f %8.2fx\n", "sorted", sorted.records_per_sec, 1.0);
-  std::printf("%10s %16.0f %8.2fx\n", "columnar", columnar.records_per_sec,
-              speedup);
+  std::printf("%10s %9s %16s %9s\n", "mode", "segments", "records/sec",
+              "speedup");
+  std::printf("%10s %9d %16.0f %8.2fx\n", "sorted", 1, sorted.records_per_sec,
+              1.0);
+  std::printf("%10s %9d %16.0f %8.2fx\n", "columnar", 1,
+              columnar.records_per_sec, speedup);
+  std::printf("%10s %9d %16.0f %8.2fx\n", "sorted", 32,
+              sorted32.records_per_sec,
+              sorted32.records_per_sec / sorted.records_per_sec);
+  std::printf("%10s %9d %16.0f %8.2fx\n", "columnar", 32,
+              columnar32.records_per_sec,
+              columnar32.records_per_sec / sorted.records_per_sec);
 
   // Spill regime: same bucket through on-disk runs. The overhead compares
   // the full spilled pass (run writes + columnar two-pass off disk)

@@ -3,12 +3,15 @@
 #include "core/pipeline.h"
 
 #include <algorithm>
+#include <cstdint>
 #include <cstdio>
+#include <limits>
 #include <memory>
 
 #include "common/distance.h"
 #include "common/timer.h"
 #include "detection/brute_force.h"
+#include "detection/cell_based.h"
 #include "detection/partition_view.h"
 #include "durability/checkpoint.h"
 #include "durability/memory_budget.h"
@@ -552,6 +555,38 @@ class VerifyReducer : public Reducer<uint32_t, VerifyRecord, PointId> {
   MemoryBudget* memory_;
 };
 
+// InvalidArgument when Cell-Based can run — DMT may pick it for any
+// partition, the baselines when it is the fixed detector — and the domain
+// is too many cells wide for the grid's int32 cell coordinates. A
+// partition's grid origin is its lower bound, so a cell index reaches
+// extent / side, and the neighbor walk adds CellBasedNeighborRings more.
+// The streaming service refuses the same points at Feed.
+Status CheckCellGridRange(const DodConfig& config, const Rect& domain) {
+  if (config.strategy != StrategyKind::kDmt &&
+      config.fixed_algorithm != AlgorithmKind::kCellBased) {
+    return Status::Ok();
+  }
+  const int dims = domain.dims();
+  const double side = CellBasedCellSide(config.params.radius, dims);
+  const double limit =
+      static_cast<double>(std::numeric_limits<int32_t>::max()) -
+      CellBasedNeighborRings(dims);
+  for (int d = 0; d < dims; ++d) {
+    const double cells = domain.Extent(d) / side;
+    if (!(cells < limit)) {
+      char message[256];
+      std::snprintf(message, sizeof(message),
+                    "DodPipeline::Run: radius %g makes dimension %d span "
+                    "%.3g Cell-Based grid cells, more than the grid's int32 "
+                    "cell coordinates hold; raise the radius or rescale the "
+                    "data",
+                    config.params.radius, d, cells);
+      return Status::InvalidArgument(message);
+    }
+  }
+  return Status::Ok();
+}
+
 }  // namespace
 
 Status CheckPipelinePointCount(size_t num_points) {
@@ -576,6 +611,8 @@ Result<DodResult> DodPipeline::Run(const Dataset& data,
                                    RunDiagnostics* diagnostics) const {
   DOD_RETURN_IF_ERROR(CheckPipelinePointCount(data.size()));
   const DodConfig& config = config_;
+  const Rect domain = data.Bounds();
+  DOD_RETURN_IF_ERROR(CheckCellGridRange(config, domain));
   StopWatch wall;
   DodResult result;
   trace::Span run_span("pipeline", "run");
@@ -595,7 +632,6 @@ Result<DodResult> DodPipeline::Run(const Dataset& data,
   // reducer). Domain / uniSpace need no statistics — only the domain
   // bounds, which come from dataset metadata — so their preprocessing time
   // is zero, matching Fig. 10(a).
-  const Rect domain = data.Bounds();
   BlockStore store(data, config.num_blocks, config.seed ^ 0xB10C);
 
   const bool needs_sketch = config.strategy == StrategyKind::kDDriven ||
@@ -702,14 +738,9 @@ Result<DodResult> DodPipeline::Run(const Dataset& data,
   spec.control = control_ptr;
   spec.memory = &memory;
   spec.split_input_bytes.reserve(store.num_blocks());
-  spec.split_record_hints.reserve(store.num_blocks());
   for (size_t b = 0; b < store.num_blocks(); ++b) {
     spec.split_input_bytes.push_back(store.block(b).size() *
                                      store.BytesPerRecord());
-    // Emission estimate for bucket pre-sizing: one core record per point,
-    // plus a couple of support replicas when supporting areas are on.
-    spec.split_record_hints.push_back(
-        store.block(b).size() * (result.plan.uses_supporting_area ? 3 : 1));
   }
   const size_t record_bytes = DetectRecordBytes(data.dims());
   const int dims = data.dims();

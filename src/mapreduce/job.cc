@@ -22,8 +22,7 @@ namespace {
 // metrics dumps.
 struct DurabilityMetrics {
   uint32_t tasks_written, tasks_resumed, bytes_written, write_seconds,
-      load_failures, control_aborts, shuffle_budget_fallbacks,
-      reserve_skipped, peak_bytes;
+      load_failures, control_aborts, shuffle_budget_fallbacks, peak_bytes;
 };
 
 const DurabilityMetrics& Durability() {
@@ -40,7 +39,6 @@ const DurabilityMetrics& Durability() {
         .control_aborts = m.Id("durability.control.aborts", kCounter),
         .shuffle_budget_fallbacks =
             m.Id("durability.memory.shuffle_budget_fallbacks", kCounter),
-        .reserve_skipped = m.Id("durability.memory.reserve_skipped", kCounter),
         .peak_bytes = m.Id("durability.memory.peak_bytes", MetricKind::kGauge),
     };
   }();
@@ -214,28 +212,6 @@ Result<std::string> BeginJob(const JobSpec& spec, bool checkpointable,
   }
   Durability();  // registers the durability.* schema for this job's dump
   return spill_dir;
-}
-
-size_t BucketReserve(const JobSpec& spec, size_t split, size_t num_reduce,
-                     size_t pair_bytes) {
-  if (split >= spec.split_record_hints.size() ||
-      spec.split_record_hints[split] == 0) {
-    return 0;
-  }
-  // Pre-size buckets from the split's expected record count, with 50%
-  // headroom so a moderately skewed allocation still avoids regrowth.
-  const uint64_t hint = spec.split_record_hints[split];
-  const size_t per_bucket =
-      static_cast<size_t>(hint / num_reduce + hint / (2 * num_reduce) + 1);
-  const uint64_t reserve_bytes =
-      static_cast<uint64_t>(per_bucket) * num_reduce * pair_bytes;
-  if (spec.memory != nullptr && !spec.memory->FitsAlone(reserve_bytes)) {
-    // Deterministic degrade: emit into un-presized buckets (slower,
-    // identical records) instead of reserving past the budget.
-    MetricsRegistry::Global().Increment(Durability().reserve_skipped);
-    return 0;
-  }
-  return per_bucket;
 }
 
 bool RestoreTask(const JobSpec& spec, TaskPhase phase, int index,

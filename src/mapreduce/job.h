@@ -46,7 +46,6 @@
 #define DOD_MAPREDUCE_JOB_H_
 
 #include <functional>
-#include <iterator>
 #include <new>
 #include <optional>
 #include <string>
@@ -121,9 +120,6 @@ struct JobSpec {
   // Input bytes of each split; charged as HDFS scan time against the
   // owning map task at cluster.disk_read_mbps_per_slot. Empty = no charge.
   std::vector<uint64_t> split_input_bytes;
-  // Expected records emitted per split (0 / absent = unknown); used to
-  // pre-size each map task's shuffle buckets so emission never regrows.
-  std::vector<uint64_t> split_record_hints;
   // Reduce-side grouping strategy (see mapreduce/shuffle.h). Both modes
   // commit byte-identical job output; kSorted is the escape hatch.
   ShuffleMode shuffle = ShuffleMode::kColumnar;
@@ -131,9 +127,10 @@ struct JobSpec {
   // grouping mode: a map task whose emitted bytes cross the (budget-wired)
   // threshold flushes its buckets as sorted runs, and reduce grouping
   // merges runs and memory segments back together — job output stays
-  // byte-identical to the all-in-memory shuffle. Disabled when dir is
-  // empty. Requires trivially copyable K/V (enforced with a structured
-  // error, like checkpointing).
+  // byte-identical to the all-in-memory shuffle. It also lets a reduce
+  // task under budget pressure spill its memory segments (the degrade in
+  // mapreduce/spill.h). Disabled when dir is empty. Requires trivially
+  // copyable K/V (enforced with a structured error, like checkpointing).
   SpillPolicy spill;
   // Worker locality groups of the task pool: <= 0 auto-detects (NUMA
   // nodes, else cache-domain buckets — see ThreadPool::DetectWorkerGroups).
@@ -163,9 +160,10 @@ struct JobSpec {
   const RunControl* control = nullptr;
   // Memory budget. Deterministically degrades the columnar shuffle to the
   // sorted path when its scratch would not fit (result-identical, counted
-  // in mr.shuffle.budget_fallback_tasks), skips shuffle-bucket
-  // pre-reserves that would not fit, and turns allocation failures inside
-  // attempts into kResourceExhausted.
+  // in mr.shuffle.budget_fallback_tasks), or — with a spill directory —
+  // spills a reduce task's memory segments when scratch fits but not next
+  // to them, and turns allocation failures inside attempts into
+  // kResourceExhausted.
   MemoryBudget* memory = nullptr;
   // When set, a failing job merges the stats of all work that did complete
   // into *partial_stats before returning its error — partial-progress
@@ -215,10 +213,10 @@ struct MapLedger : TaskLedger {
 struct ReduceLedger : TaskLedger {
   GroupPath group_path = GroupPath::kSorted;
   FallbackReason fallback = FallbackReason::kNone;
-  // Reduce-side spill degrade (see GroupBucketOrSpill): the bucket,
-  // sorted and written out as runs so the columnar histogram could run
-  // without it resident. Task-level so a retry regroups from the
-  // existing runs instead of re-spilling an already-freed bucket.
+  // Reduce-side spill degrade (see GroupSegments): the task's memory
+  // segments, one sorted run each, written out so the columnar histogram
+  // could run without them resident. Task-level so a retry regroups from
+  // the existing runs instead of re-spilling already-freed segments.
   std::vector<SpillRunInfo> spill_runs;
   double group_seconds = 0.0;
 };
@@ -230,11 +228,6 @@ struct ReduceLedger : TaskLedger {
 // and arms `gc` on it. Returns that directory (empty = no spilling).
 Result<std::string> BeginJob(const JobSpec& spec, bool checkpointable,
                              bool spillable, SpillGc* gc);
-
-// Records to pre-reserve per shuffle bucket of map task `split` (0 = no
-// hint, or the reserve would not fit the memory budget).
-size_t BucketReserve(const JobSpec& spec, size_t split, size_t num_reduce,
-                     size_t pair_bytes);
 
 // Restores task (phase, index) from spec.checkpoint when resuming: the
 // ledger's stats delta and slot costs, then `body` (the phase's records),
@@ -416,9 +409,9 @@ Result<JobOutput<Out>> RunMapReduce(
 
   // ---- Map phase -------------------------------------------------------
   // Every map task stages into private buckets; the winning attempt's
-  // staging is committed into the task's slot and merged into the global
-  // shuffle after the barrier, in split order — so the shuffled buckets
-  // are byte-identical no matter how tasks interleave.
+  // staging is committed into the task's slot and handed to the reduce
+  // tasks after the barrier, in split order — so every reduce task's input
+  // is byte-identical no matter how tasks interleave.
   struct MapTask {
     Buckets staging;
     Buckets committed;
@@ -475,10 +468,6 @@ Result<JobOutput<Out>> RunMapReduce(
           ledger = internal::MapLedger();
         }
         task.staging.resize(num_reduce);
-        // reserve() survives the per-attempt clear() below.
-        const size_t reserve = internal::BucketReserve(
-            spec, split, num_reduce, sizeof(std::pair<K, V>));
-        for (auto& bucket : task.staging) bucket.reserve(reserve);
         const double scan_seconds =
             split < spec.split_input_bytes.size()
                 ? static_cast<double>(spec.split_input_bytes[split]) /
@@ -557,19 +546,13 @@ Result<JobOutput<Out>> RunMapReduce(
     return internal::FailJob(spec, wall, stats, std::move(map_status));
   }
 
-  // Deterministic shuffle merge: split order, then bucket order. With no
-  // spilled map task the records are concatenated into per-reduce buckets;
-  // when any task spilled, concatenation is deferred — each reduce task
-  // instead gets an ordered segment list (in-memory buckets of non-spilled
-  // tasks, disk runs of spilled ones, still in (split, flush) order) that
-  // the grouping layer merges back together.
-  bool any_spilled = false;
-  for (const internal::MapLedger& ledger : map_ledgers) {
-    if (!ledger.runs.empty()) any_spilled = true;
-  }
-  Buckets buckets(num_reduce);
-  // segments[r]: reduce task r's input pieces; empty unless any_spilled.
-  std::vector<std::vector<internal::ShuffleSegment<K, V>>> segments;
+  // Deterministic shuffle hand-off: each reduce task gets an ordered
+  // segment list — the in-memory buckets of non-spilled map tasks,
+  // referenced in place (map_tasks outlives the reduce phase), and the
+  // disk runs of spilled ones, in (split, flush) order — that the
+  // grouping layer merges back together.
+  std::vector<std::vector<internal::ShuffleSegment<K, V>>> segments(
+      num_reduce);
   // group_records[r][g]: records of reduce task r produced by map tasks
   // that ran on worker group g — the placement-hint scorecard.
   const int exec_groups = executor.num_groups();
@@ -577,7 +560,6 @@ Result<JobOutput<Out>> RunMapReduce(
       num_reduce, std::vector<uint64_t>(static_cast<size_t>(exec_groups), 0));
   {
     trace::Span shuffle_span("phase", "shuffle");
-    if (any_spilled) segments.resize(num_reduce);
     try {
       for (size_t split = 0; split < num_splits; ++split) {
         MapTask& task = map_tasks[split];
@@ -591,32 +573,17 @@ Result<JobOutput<Out>> RunMapReduce(
             group_records[run.partition][g] += run.records;
           }
         }
-        if (!any_spilled) {
-          for (size_t r = 0; r < task.committed.size(); ++r) {
-            auto& committed = buckets[r];
-            auto& staged = task.committed[r];
-            committed.insert(committed.end(),
-                             std::make_move_iterator(staged.begin()),
-                             std::make_move_iterator(staged.end()));
-          }
-          // Free the per-task buffers eagerly; the shuffle owns the data.
-          task.committed = Buckets();
-        } else if (ledger.runs.empty()) {
-          // Segment mode: the per-task buckets stay alive (map_tasks
-          // outlives the reduce phase) and are referenced in place.
-          for (size_t r = 0; r < task.committed.size(); ++r) {
-            if (task.committed[r].empty()) continue;
-            segments[r].push_back(internal::ShuffleSegment<K, V>{
-                &task.committed[r], nullptr});
-          }
-        } else {
-          // Runs were flushed in time-slice order and each carries its
-          // partition; appending in recorded order preserves emission
-          // order per reduce task.
-          for (const internal::SpillRunInfo& run : ledger.runs) {
-            segments[run.partition].push_back(
-                internal::ShuffleSegment<K, V>{nullptr, &run});
-          }
+        for (size_t r = 0; r < task.committed.size(); ++r) {
+          if (task.committed[r].empty()) continue;
+          segments[r].push_back(internal::ShuffleSegment<K, V>{
+              &task.committed[r], nullptr});
+        }
+        // Runs were flushed in time-slice order and each carries its
+        // partition; appending in recorded order preserves emission order
+        // per reduce task.
+        for (const internal::SpillRunInfo& run : ledger.runs) {
+          segments[run.partition].push_back(
+              internal::ShuffleSegment<K, V>{nullptr, &run});
         }
         task.staging = Buckets();
       }
@@ -624,7 +591,7 @@ Result<JobOutput<Out>> RunMapReduce(
       return internal::FailJob(
           spec, wall, stats,
           Status::ResourceExhausted(
-              "shuffle merge failed to allocate the merged buckets"));
+              "shuffle failed to allocate the reduce segment lists"));
     }
     stats.records_mapped = stats.records_shuffled;
     shuffle_span.Arg("records", stats.records_shuffled)
@@ -681,30 +648,21 @@ Result<JobOutput<Out>> RunMapReduce(
               task.groups = 0;
               // Grouping is part of the attempt's cost, like Hadoop's
               // reducer-side sort, and idempotent: the sorted path's
-              // in-place stable sort, the columnar path's scratch rebuild,
-              // and the spilled paths' re-merge of immutable runs all
-              // re-run safely after a failure. Every path yields identical
-              // groups (see mapreduce/shuffle.h and mapreduce/spill.h), so
-              // job output depends on neither the mode nor the spilling.
+              // in-place concatenation and stable sort of memory
+              // segments, the columnar path's scratch rebuild, the
+              // re-read of immutable runs, and the degrade (which leaves
+              // the segments pointing at its persisted runs) all re-run
+              // safely after a failure. Every path yields identical
+              // groups (see mapreduce/spill.h), so job output depends on
+              // neither the mode nor the spilling.
               StopWatch group_watch;
               internal::GroupScratch<K, V> scratch;
-              std::vector<internal::ShuffleSegment<K, V>> segment_scratch;
-              // A spilled shuffle groups the segment list (memory buckets
-              // of non-spilled map tasks + disk runs of spilled ones). An
-              // in-memory bucket groups directly; with a spill directory,
-              // the budget guard can degrade to spill-then-stream instead
-              // of the sorted-only fallback.
-              Result<GroupedView<K, V>> groups =
-                  any_spilled
-                      ? internal::GroupSegments(
-                            segments[r], spec.shuffle, &scratch,
-                            &ledger.group_path, &ledger.fallback, spec.memory)
-                      : internal::GroupBucketOrSpill(
-                            buckets[r], spec.shuffle, &scratch,
-                            &ledger.group_path, &ledger.fallback, spec.memory,
-                            spec.spill,
-                            internal::SpillFilePath(spill_dir, "reduce", index),
-                            &spill_gc, &ledger.spill_runs, &segment_scratch);
+              Result<GroupedView<K, V>> groups = internal::GroupSegments(
+                  segments[r], spec.shuffle, &scratch, &ledger.group_path,
+                  &ledger.fallback, spec.memory,
+                  spilling ? internal::SpillFilePath(spill_dir, "reduce", index)
+                           : std::string(),
+                  &spill_gc, &ledger.spill_runs);
               if (!groups.ok()) return groups.status();
               ledger.group_seconds = group_watch.ElapsedSeconds();
               DOD_RETURN_IF_ERROR(

@@ -13,14 +13,15 @@
 // threshold. A task that spilled once flushes its remainder at attempt end,
 // so a task's records live either entirely in memory or entirely in runs.
 //
-// Reduce side: a reduce task's input becomes an ordered list of segments —
-// in-memory buckets of non-spilled map tasks plus disk runs of spilled
-// ones, in (split, flush) order. Grouping happens either by a two-pass
-// counting-sort histogram streamed over the segments (columnar) or by a
-// loser-tree k-way merge of the stably-sorted segments with ordinal
-// tie-breaking (sorted). Both orders equal a stable sort of the
-// concatenated emission-order records, which is exactly what the in-memory
-// paths produce — so spilling is invisible in the job output:
+// Reduce side: every reduce task's input is an ordered list of segments —
+// in-memory buckets of non-spilled map tasks, referenced in place, plus
+// disk runs of spilled ones, in (split, flush) order. GroupSegments groups
+// that list either by a two-pass counting-sort histogram streamed over the
+// segments (columnar) or by sorting (sorted): memory-only input is
+// concatenated in place and stably sorted, input with runs is loser-tree
+// merged from its stably-sorted segments with ordinal tie-breaking. Every
+// order equals a stable sort of the concatenated emission-order records,
+// so where the records sit is invisible in the job output:
 //
 //  * runs are time-sliced (every record of flush i was emitted before any
 //    record of flush i+1) and each flush is stably sorted, so scanning a
@@ -28,9 +29,13 @@
 //  * the loser tree breaks key ties by segment ordinal, and merging
 //    stably-sorted segments with ordinal tie-breaks reproduces the stable
 //    sort of their concatenation;
-//  * the columnar scatter visits segments in the same order, so each
-//    group's column comes out in emission order, matching the in-memory
-//    counting sort.
+//  * the columnar scatter visits segments in list order, so each group's
+//    column comes out in emission order.
+//
+// Under memory pressure a reduce task can also spill: when the histogram
+// scratch fits the budget alone but not next to the task's resident memory
+// segments, each memory segment is written out as its own sorted run and
+// freed, and the histogram streams over the runs instead (the degrade).
 //
 // Attempt retries are safe: the run file is truncated at the start of each
 // spilling attempt (attempts are sequential and speculative duplicates
@@ -190,7 +195,8 @@ class TaskSpiller {
   const Status& status() const { return status_; }
   std::vector<SpillRunInfo> TakeRuns() { return std::move(runs_); }
 
-  // Flushes every non-empty bucket as one sorted run and clears it.
+  // Flushes every non-empty bucket as one sorted run and clears it. On a
+  // write error the buckets keep their (now sorted) records.
   void Spill(Buckets& buckets) {
     if (!status_.ok()) return;
     if (!opened_) {
@@ -239,7 +245,6 @@ class TaskSpiller {
       runs_.push_back(std::move(run));
       spilled_records += bucket.size();
       spilled_bytes += payload_bytes;
-      bucket.clear();  // capacity retained for the next fill
     }
     out_.flush();
     if (!out_) {
@@ -247,6 +252,7 @@ class TaskSpiller {
                                 " failed");
       return;
     }
+    for (auto& bucket : buckets) bucket.clear();  // capacity retained
     span.Arg("records", spilled_records).Arg("bytes", spilled_bytes);
   }
 
@@ -341,9 +347,9 @@ class SpillRunCursor {
 };
 
 // One piece of a reduce task's input, in (split, flush) order: either a
-// non-spilled map task's in-memory bucket (emission order; the sorted path
-// stable-sorts it in place, which is idempotent across attempt retries) or
-// one disk run (already sorted).
+// non-spilled map task's in-memory bucket, referenced in place (emission
+// order; the sorted path stable-sorts it in place, which is idempotent
+// across attempt retries) or one disk run (already sorted).
 template <typename K, typename V>
 struct ShuffleSegment {
   std::vector<std::pair<K, V>>* memory = nullptr;
@@ -426,19 +432,69 @@ Status MergeSegments(std::vector<SegmentCursor<K, V>>& cursors,
   return Status::Ok();
 }
 
-// Groups a reduce task's segment list (the spilled-input analogue of
-// GroupBucket). The columnar admission — density guard over the segments'
-// key ranges, budget check on the histogram scratch — is a pure function
-// of segment metadata and contents, so the chosen path is identical
-// across thread counts and fault schedules; both paths yield groups
-// byte-identical to grouping the concatenated in-memory bucket.
+// The degrade: writes every non-empty memory segment of `segments` as its
+// own stably-sorted run (list order, so runs stay time-sliced in split
+// order), frees it and points the segment at its run. The runs land in
+// *runs, which outlives the attempt, so a retry regroups from them. On a
+// write error the segments keep their records.
+template <typename K, typename V>
+Status SpillMemorySegments(std::vector<ShuffleSegment<K, V>>& segments,
+                           const std::string& file, SpillGc* gc,
+                           std::vector<SpillRunInfo>* runs) {
+  std::vector<ShuffleSegment<K, V>*> resident;
+  typename TaskSpiller<K, V>::Buckets buckets;
+  for (ShuffleSegment<K, V>& segment : segments) {
+    if (segment.memory == nullptr || segment.memory->empty()) continue;
+    resident.push_back(&segment);
+    buckets.emplace_back().swap(*segment.memory);
+  }
+  TaskSpiller<K, V> spiller(file, gc);
+  spiller.Spill(buckets);
+  for (size_t i = 0; i < resident.size(); ++i) {
+    resident[i]->memory->swap(buckets[i]);
+  }
+  DOD_RETURN_IF_ERROR(spiller.status());
+  *runs = spiller.TakeRuns();
+  for (size_t i = 0; i < resident.size(); ++i) {
+    // Free for real: the histogram must run with only its scratch
+    // resident, which is the point of the degrade.
+    *resident[i]->memory = std::vector<std::pair<K, V>>();
+    *resident[i] = ShuffleSegment<K, V>{nullptr, &(*runs)[i]};
+  }
+  return Status::Ok();
+}
+
+// Groups one reduce task's segment list under `mode`. The columnar
+// admission — signed-domain key range, density guard, and the budget's
+// FitsAlone check on the histogram scratch — is computed once, from
+// segment contents and run metadata, so the chosen path is identical
+// across thread counts and fault schedules. Then exactly one of:
+//
+//  (a) the degrade, when `spill_file` is set, the scratch fits the budget
+//      alone but not next to the resident memory segments: the memory
+//      segments are spilled (SpillMemorySegments into *spilled_runs) and
+//      the histogram streams over the runs — kColumnarSpilled + kSpill. A
+//      retry finds the segments already pointing at *spilled_runs and
+//      keeps the labels;
+//  (b) columnar: histogram, then scatter — kColumnar, or kColumnarSpilled
+//      when the input includes runs;
+//  (c) sorted: memory-only input is folded into its first memory segment
+//      and stable-sorted in place, with no second copy — kSorted /
+//      kSortedFallback / kSortedBudget; input with runs stable-sorts its
+//      memory segments in place and loser-tree merges everything into
+//      scratch->merged — kSortedSpilled.
+//
+// Every path yields groups byte-identical to a stable sort of the
+// segments' concatenation.
 template <typename K, typename V>
 Result<GroupedView<K, V>> GroupSegments(
     std::vector<ShuffleSegment<K, V>>& segments, ShuffleMode mode,
     GroupScratch<K, V>* scratch, GroupPath* path, FallbackReason* reason,
-    const MemoryBudget* budget) {
+    const MemoryBudget* budget, const std::string& spill_file = {},
+    SpillGc* gc = nullptr, std::vector<SpillRunInfo>* spilled_runs = nullptr) {
   *reason = FallbackReason::kNone;
   uint64_t records = 0;
+  uint64_t resident_records = 0;
   bool any_runs = false;
   for (const ShuffleSegment<K, V>& segment : segments) {
     if (segment.run != nullptr) {
@@ -446,6 +502,7 @@ Result<GroupedView<K, V>> GroupSegments(
       records += segment.run->records;
     } else {
       records += segment.memory->size();
+      resident_records += segment.memory->size();
     }
   }
   if (records == 0) {
@@ -459,47 +516,56 @@ Result<GroupedView<K, V>> GroupSegments(
   if (mode == ShuffleMode::kColumnar) {
     if constexpr (std::is_integral_v<K>) {
       using U = std::make_unsigned_t<K>;
-      // Min/max live in the signed K domain — CountingSortGroups'
-      // convention — so mixed-sign key spaces guard and group exactly like
-      // the in-memory paths. Run metadata holds the bit-casts of each
-      // run's signed extremes; decode through U before comparing (the raw
-      // u64 values do not order across signs).
+      // Min/max live in the signed K domain, so mixed-sign key spaces
+      // order correctly. Run metadata holds the bit-casts of each run's
+      // signed extremes; decode through U before comparing (the raw u64
+      // values do not order across signs). Memory segments are scanned
+      // for theirs.
       bool have_keys = false;
       K min_key{};
       K max_key{};
-      const auto fold = [&](K key) {
-        min_key = have_keys ? std::min(min_key, key) : key;
-        max_key = have_keys ? std::max(max_key, key) : key;
-        have_keys = true;
-      };
       for (const ShuffleSegment<K, V>& segment : segments) {
+        K lo;
+        K hi;
         if (segment.run != nullptr) {
           if (segment.run->records == 0) continue;
-          fold(static_cast<K>(static_cast<U>(segment.run->min_key)));
-          fold(static_cast<K>(static_cast<U>(segment.run->max_key)));
+          lo = static_cast<K>(static_cast<U>(segment.run->min_key));
+          hi = static_cast<K>(static_cast<U>(segment.run->max_key));
         } else {
+          if (segment.memory->empty()) continue;
+          lo = hi = segment.memory->front().first;
           for (const std::pair<K, V>& record : *segment.memory) {
-            fold(record.first);
+            lo = std::min(lo, record.first);
+            hi = std::max(hi, record.first);
           }
         }
+        min_key = have_keys ? std::min(min_key, lo) : lo;
+        max_key = have_keys ? std::max(max_key, hi) : hi;
+        have_keys = true;
       }
-      // Unsigned-domain subtraction: the exact expression
-      // CountingSortGroups uses, so the guard admits and rejects the same
-      // key spaces as the in-memory columnar path.
+      // Two's-complement subtraction in the unsigned domain handles
+      // negative keys and cannot overflow.
       const uint64_t range =
           static_cast<uint64_t>(static_cast<U>(max_key) -
                                 static_cast<U>(min_key)) + 1;
-      if (range >
-          kDenseRangeSlack + kDenseRangePerRecord * records) {
+      const uint64_t scratch_bytes =
+          ColumnarScratchBytes(records, range, sizeof(K), sizeof(V));
+      if (range > kDenseRangeSlack + kDenseRangePerRecord * records) {
         *reason = FallbackReason::kDensity;
-      } else if (budget != nullptr &&
-                 !budget->FitsAlone(ColumnarScratchBytes(
-                     records, range, sizeof(K), sizeof(V)))) {
+      } else if (budget != nullptr && !budget->FitsAlone(scratch_bytes)) {
         *reason = FallbackReason::kBudget;
       } else {
+        if (!spill_file.empty() && spilled_runs != nullptr &&
+            resident_records > 0 && budget != nullptr &&
+            !budget->FitsAlone(scratch_bytes +
+                               resident_records * sizeof(std::pair<K, V>))) {
+          DOD_RETURN_IF_ERROR(
+              SpillMemorySegments(segments, spill_file, gc, spilled_runs));
+          any_runs = true;
+        }
         // Pass 1: histogram the keys across every segment. Slots subtract
-        // in the U domain (two's-complement wraparound), mirroring
-        // CountingSortGroups, so negative keys land identically.
+        // in the U domain (two's-complement wraparound), so negative keys
+        // land in order.
         std::vector<size_t>& cursor = scratch->histogram;
         cursor.assign(static_cast<size_t>(range), 0);
         for (ShuffleSegment<K, V>& segment : segments) {
@@ -523,11 +589,11 @@ Result<GroupedView<K, V>> GroupSegments(
         size_t total = 0;
         for (size_t slot = 0; slot < cursor.size(); ++slot) {
           const size_t count = cursor[slot];
-          if (count == 0) continue;
+          if (count == 0) continue;  // absent keys produce no group
           scratch->keys.push_back(static_cast<K>(
               static_cast<U>(min_key) + static_cast<U>(slot)));
           scratch->offsets.push_back(total);
-          cursor[slot] = total;
+          cursor[slot] = total;  // becomes the group's write cursor
           total += count;
         }
         scratch->offsets.push_back(total);
@@ -554,6 +620,9 @@ Result<GroupedView<K, V>> GroupSegments(
           }
         }
         *path = any_runs ? GroupPath::kColumnarSpilled : GroupPath::kColumnar;
+        if (spilled_runs != nullptr && !spilled_runs->empty()) {
+          *reason = FallbackReason::kSpill;
+        }
         return GroupedView<K, V>(scratch->keys, scratch->values,
                                  scratch->offsets);
       }
@@ -562,19 +631,46 @@ Result<GroupedView<K, V>> GroupSegments(
     }
   }
 
-  // Sorted path: stable-sort the memory segments in place (idempotent
-  // across retries), then merge everything with the loser tree.
+  const auto by_key = [](const std::pair<K, V>& a,
+                         const std::pair<K, V>& b) { return a.first < b.first; };
+  // Sorted path, memory-only input: fold the memory segments into the
+  // first one (freeing each as it is appended) and stable-sort that in
+  // place. No second copy of the task's records, and a retry finds the
+  // same concatenation, already sorted.
+  if (!any_runs) {
+    std::vector<std::pair<K, V>>* all = nullptr;
+    for (ShuffleSegment<K, V>& segment : segments) {
+      if (segment.memory->empty()) continue;
+      if (all == nullptr) {
+        all = segment.memory;
+        all->reserve(static_cast<size_t>(records));
+        continue;
+      }
+      all->insert(all->end(), segment.memory->begin(),
+                  segment.memory->end());
+      *segment.memory = std::vector<std::pair<K, V>>();
+    }
+    std::stable_sort(all->begin(), all->end(), by_key);
+    ComputeGroupOffsets(*all, &scratch->offsets);
+    if (mode == ShuffleMode::kColumnar) {
+      *path = *reason == FallbackReason::kBudget ? GroupPath::kSortedBudget
+                                                 : GroupPath::kSortedFallback;
+    } else {
+      *path = GroupPath::kSorted;
+    }
+    return GroupedView<K, V>(*all, scratch->offsets);
+  }
+
+  // Sorted path with runs: stable-sort the memory segments in place
+  // (idempotent across retries), then loser-tree merge everything.
   {
     trace::Span span("shuffle", "merge");
     span.Arg("segments", static_cast<uint64_t>(segments.size()))
         .Arg("records", records);
     for (ShuffleSegment<K, V>& segment : segments) {
       if (segment.memory != nullptr) {
-        std::stable_sort(
-            segment.memory->begin(), segment.memory->end(),
-            [](const std::pair<K, V>& a, const std::pair<K, V>& b) {
-              return a.first < b.first;
-            });
+        std::stable_sort(segment.memory->begin(), segment.memory->end(),
+                         by_key);
       }
     }
     std::vector<SegmentCursor<K, V>> cursors(segments.size());
@@ -586,95 +682,8 @@ Result<GroupedView<K, V>> GroupSegments(
     DOD_RETURN_IF_ERROR(MergeSegments(cursors, &scratch->merged));
   }
   ComputeGroupOffsets(scratch->merged, &scratch->offsets);
-  if (any_runs) {
-    *path = GroupPath::kSortedSpilled;
-  } else if (mode == ShuffleMode::kColumnar) {
-    *path = *reason == FallbackReason::kBudget ? GroupPath::kSortedBudget
-                                               : GroupPath::kSortedFallback;
-  } else {
-    *path = GroupPath::kSorted;
-  }
+  *path = GroupPath::kSortedSpilled;
   return GroupedView<K, V>(scratch->merged, scratch->offsets);
-}
-
-// Groups an in-memory reduce bucket, with the spill degradation in front:
-// when the columnar histogram passes the density guard but scratch +
-// resident bucket together exceed the budget (the regime that previously
-// forced the sorted-only kSortedBudget fallback), and a spill directory is
-// available, the bucket is stable-sorted in place, written out as one run,
-// and freed — the histogram then streams over the run with only its
-// scratch resident (GroupPath::kColumnarSpilled, FallbackReason::kSpill).
-// Everything else defers to GroupBucket. The spilled state persists in
-// *spilled_runs across attempt retries: a later attempt regroups from the
-// existing run instead of re-spilling an already-emptied bucket.
-template <typename K, typename V>
-Result<GroupedView<K, V>> GroupBucketOrSpill(
-    std::vector<std::pair<K, V>>& bucket, ShuffleMode mode,
-    GroupScratch<K, V>* scratch, GroupPath* path, FallbackReason* reason,
-    const MemoryBudget* budget, const SpillPolicy& spill,
-    const std::string& spill_file, SpillGc* gc,
-    std::vector<SpillRunInfo>* spilled_runs,
-    std::vector<ShuffleSegment<K, V>>* segment_scratch) {
-  *reason = FallbackReason::kNone;
-  if constexpr (std::is_integral_v<K>) {
-    const bool regroup_spilled = spilled_runs != nullptr &&
-                                 !spilled_runs->empty();
-    bool degrade = false;
-    if (!regroup_spilled && spill.enabled() &&
-        mode == ShuffleMode::kColumnar && !bucket.empty() &&
-        budget != nullptr && gc != nullptr && spilled_runs != nullptr) {
-      using U = std::make_unsigned_t<K>;
-      K min_key = bucket.front().first;
-      K max_key = min_key;
-      for (const std::pair<K, V>& record : bucket) {
-        min_key = std::min(min_key, record.first);
-        max_key = std::max(max_key, record.first);
-      }
-      const uint64_t range = static_cast<uint64_t>(static_cast<U>(max_key) -
-                                                   static_cast<U>(min_key)) +
-                             1;
-      const uint64_t scratch_bytes = ColumnarScratchBytes(
-          bucket.size(), range, sizeof(K), sizeof(V));
-      const uint64_t bucket_bytes =
-          static_cast<uint64_t>(bucket.size()) * sizeof(std::pair<K, V>);
-      degrade = range <= kDenseRangeSlack +
-                             kDenseRangePerRecord *
-                                 static_cast<uint64_t>(bucket.size()) &&
-                budget->FitsAlone(scratch_bytes) &&
-                !budget->FitsAlone(scratch_bytes + bucket_bytes);
-    }
-    if (degrade) {
-      TaskSpiller<K, V> spiller(spill_file, gc);
-      typename TaskSpiller<K, V>::Buckets one;
-      one.push_back(std::move(bucket));
-      spiller.Spill(one);
-      DOD_RETURN_IF_ERROR(spiller.Finish(one));
-      *spilled_runs = spiller.TakeRuns();
-      // Free the resident bucket for real — the histogram pass must run
-      // with only its scratch resident, which was the point.
-      bucket = std::vector<std::pair<K, V>>();
-    }
-    if (degrade || regroup_spilled) {
-      segment_scratch->clear();
-      for (const SpillRunInfo& run : *spilled_runs) {
-        segment_scratch->push_back(ShuffleSegment<K, V>{nullptr, &run});
-      }
-      GroupPath seg_path;
-      FallbackReason seg_reason;
-      auto grouped = GroupSegments(*segment_scratch, mode, scratch,
-                                   &seg_path, &seg_reason, budget);
-      if (grouped.ok()) {
-        *path = seg_path;
-        *reason = seg_path == GroupPath::kColumnarSpilled
-                      ? FallbackReason::kSpill
-                      : seg_reason;
-      }
-      return grouped;
-    }
-  }
-  GroupedView<K, V> view = GroupBucket(bucket, mode, scratch, path, budget);
-  *reason = ReasonFromPath(*path);
-  return view;
 }
 
 }  // namespace internal

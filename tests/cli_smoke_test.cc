@@ -159,6 +159,17 @@ TEST(CliSmokeTest, TooManyColumnsExitsWithMessage) {
   std::remove(in_path.c_str());
 }
 
+TEST(CliSmokeTest, CellGridOverflowExitsWithMessage) {
+  // A radius so small that the domain spans more Cell-Based cells than
+  // int32 coordinates hold: exit 1 with a message, not a signal or a
+  // silently collapsed grid.
+  const CommandResult result = RunCommand(
+      "--generate uniform --n 2000 --radius 1e-9 --k 1 --strategy cdriven "
+      "--algorithm cell_based --threads 1");
+  EXPECT_EQ(result.exit_code, 1) << result.output;
+  EXPECT_NE(result.output.find("int32"), std::string::npos) << result.output;
+}
+
 TEST(CliSmokeTest, MissingInputFileIsRejected) {
   const CommandResult result = RunCommand("--input /no/such/file.csv");
   EXPECT_NE(result.exit_code, 0);

@@ -9,6 +9,7 @@
 #include <gtest/gtest.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <cstdio>
 #include <filesystem>
@@ -474,29 +475,42 @@ TEST(TaskArenaBudgetTest, ReservationBeyondBudgetIsResourceExhausted) {
 }
 
 TEST(ShuffleBudgetTest, ColumnarDegradesToSortedWithIdenticalGroups) {
-  std::vector<std::pair<uint32_t, int>> plain, budgeted;
+  std::vector<std::pair<uint32_t, int>> records;
   for (int i = 0; i < 500; ++i) {
-    plain.emplace_back(static_cast<uint32_t>(i % 37), i);
+    records.emplace_back(static_cast<uint32_t>(i % 37), i);
   }
-  budgeted = plain;
+  // The oracle: a stable sort by key, read off as equal-key runs.
+  std::vector<std::pair<uint32_t, int>> oracle = records;
+  std::stable_sort(
+      oracle.begin(), oracle.end(),
+      [](const auto& a, const auto& b) { return a.first < b.first; });
 
-  internal::GroupScratch<uint32_t, int> plain_scratch, budget_scratch;
-  internal::GroupPath plain_path, budget_path;
-  const GroupedView<uint32_t, int> columnar = internal::GroupBucket(
-      plain, ShuffleMode::kColumnar, &plain_scratch, &plain_path);
-  MemoryBudget tiny(16);  // denies any real scratch
-  const GroupedView<uint32_t, int> degraded =
-      internal::GroupBucket(budgeted, ShuffleMode::kColumnar, &budget_scratch,
-                            &budget_path, &tiny);
-  EXPECT_EQ(plain_path, internal::GroupPath::kColumnar);
-  EXPECT_EQ(budget_path, internal::GroupPath::kSortedBudget);
-  ASSERT_EQ(columnar.num_groups(), degraded.num_groups());
-  ASSERT_EQ(columnar.num_records(), degraded.num_records());
-  for (size_t g = 0; g < columnar.num_groups(); ++g) {
-    EXPECT_EQ(columnar.key(g), degraded.key(g));
-    ASSERT_EQ(columnar.size(g), degraded.size(g));
-    for (size_t i = 0; i < columnar.size(g); ++i) {
-      EXPECT_EQ(columnar.value(g, i), degraded.value(g, i));
+  const MemoryBudget tiny(16);  // denies any real scratch
+  for (const MemoryBudget* budget : {static_cast<const MemoryBudget*>(nullptr),
+                                     &tiny}) {
+    std::vector<std::pair<uint32_t, int>> bucket = records;
+    std::vector<internal::ShuffleSegment<uint32_t, int>> segments = {
+        {&bucket, nullptr}};
+    internal::GroupScratch<uint32_t, int> scratch;
+    internal::GroupPath path;
+    internal::FallbackReason reason;
+    auto grouped = internal::GroupSegments(segments, ShuffleMode::kColumnar,
+                                           &scratch, &path, &reason, budget);
+    ASSERT_TRUE(grouped.ok());
+    EXPECT_EQ(path, budget == nullptr ? internal::GroupPath::kColumnar
+                                      : internal::GroupPath::kSortedBudget);
+    const GroupedView<uint32_t, int>& view = grouped.value();
+    ASSERT_EQ(view.num_records(), oracle.size());
+    size_t index = 0;
+    for (size_t g = 0; g < view.num_groups(); ++g) {
+      for (size_t i = 0; i < view.size(g); ++i, ++index) {
+        EXPECT_EQ(view.key(g), oracle[index].first);
+        EXPECT_EQ(view.value(g, i), oracle[index].second);
+      }
+      // Groups are maximal equal-key runs.
+      if (g > 0) {
+        EXPECT_LT(view.key(g - 1), view.key(g));
+      }
     }
   }
 }

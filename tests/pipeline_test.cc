@@ -173,6 +173,34 @@ TEST(PipelineBasics, PointCountCheckRejectsIdsPastTheTagBit) {
             StatusCode::kInvalidArgument);
 }
 
+TEST(PipelineBasics, CellGridOverflowIsRefusedBeforeAnyJob) {
+  // At radius 1e-9 the Cell-Based cell side is ~3.5e-10, so the uniform
+  // domain spans ~1e11 cells per dimension: past the grid's int32 cell
+  // coordinates. Every configuration that can run Cell-Based refuses it.
+  DetectionParams params{1e-9, 1};
+  const Dataset data = GenerateUniform(2000, DomainForDensity(2000, 0.05), 3);
+  for (const DodConfig& config :
+       {DodConfig::Dmt(params),
+        DodConfig::Baseline(params, StrategyKind::kCDriven,
+                            AlgorithmKind::kCellBased),
+        DodConfig::Baseline(params, StrategyKind::kDomain,
+                            AlgorithmKind::kCellBased)}) {
+    const Result<DodResult> result = DodPipeline(config).Run(data);
+    ASSERT_FALSE(result.ok()) << config.Label();
+    EXPECT_EQ(result.status().code(), StatusCode::kInvalidArgument)
+        << config.Label();
+    EXPECT_NE(result.status().message().find("int32"), std::string::npos)
+        << result.status().ToString();
+  }
+  // Nested-Loop keeps no grid, so the same radius runs.
+  const Result<DodResult> nested =
+      DodPipeline(DodConfig::Baseline(params, StrategyKind::kCDriven,
+                                      AlgorithmKind::kNestedLoop))
+          .Run(data);
+  ASSERT_TRUE(nested.ok()) << nested.status().ToString();
+  EXPECT_EQ(nested.value().outliers, GroundTruth(data, params));
+}
+
 TEST(PipelineBasics, DeterministicAcrossRuns) {
   DetectionParams params{5.0, 4};
   const Dataset data = GenerateTigerLike(2000, 31);

@@ -41,12 +41,13 @@
 namespace dod {
 namespace {
 
-using internal::GroupBucket;
+using internal::FallbackReason;
 using internal::GroupPath;
 using internal::GroupScratch;
 
 // ---------------------------------------------------------------------------
-// Grouping layer: GroupBucket's two paths must be indistinguishable.
+// Grouping layer: GroupSegments' two modes must be indistinguishable from
+// a stable sort of the segments' concatenation, wherever the records sit.
 
 // Buckets of (key, emission sequence) pairs: equal value sequences per
 // group prove stability, not just equal multisets.
@@ -59,58 +60,193 @@ std::vector<std::pair<K, int>> SequencedBucket(const std::vector<K>& keys) {
   return bucket;
 }
 
+// The oracle: a stable sort of the records by key, read off as equal-key
+// runs.
 template <typename K>
-void ExpectSameGroups(const GroupedView<K, int>& a,
-                      const GroupedView<K, int>& b) {
-  ASSERT_EQ(a.num_groups(), b.num_groups());
-  ASSERT_EQ(a.num_records(), b.num_records());
-  for (size_t g = 0; g < a.num_groups(); ++g) {
-    EXPECT_EQ(a.key(g), b.key(g)) << "group " << g;
-    ASSERT_EQ(a.size(g), b.size(g)) << "group " << g;
-    for (size_t i = 0; i < a.size(g); ++i) {
-      EXPECT_EQ(a.value(g, i), b.value(g, i)) << "group " << g << " value "
-                                              << i;
+std::vector<std::pair<K, std::vector<int>>> OracleGroups(
+    std::vector<std::pair<K, int>> records) {
+  std::stable_sort(
+      records.begin(), records.end(),
+      [](const auto& a, const auto& b) { return a.first < b.first; });
+  std::vector<std::pair<K, std::vector<int>>> groups;
+  for (const auto& [key, value] : records) {
+    if (groups.empty() || groups.back().first != key) {
+      groups.emplace_back(key, std::vector<int>());
+    }
+    groups.back().second.push_back(value);
+  }
+  return groups;
+}
+
+template <typename K>
+void ExpectOracleGroups(const GroupedView<K, int>& view,
+                        const std::vector<std::pair<K, int>>& records) {
+  const auto expected = OracleGroups(records);
+  ASSERT_EQ(view.num_groups(), expected.size());
+  ASSERT_EQ(view.num_records(), records.size());
+  for (size_t g = 0; g < expected.size(); ++g) {
+    EXPECT_EQ(view.key(g), expected[g].first) << "group " << g;
+    ASSERT_EQ(view.size(g), expected[g].second.size()) << "group " << g;
+    for (size_t i = 0; i < view.size(g); ++i) {
+      EXPECT_EQ(view.value(g, i), expected[g].second[i])
+          << "group " << g << " value " << i;
     }
   }
 }
 
-TEST(ShuffleGroupingTest, ColumnarMatchesSortedOnRandomBuckets) {
-  Rng rng(2026);
-  for (int round = 0; round < 8; ++round) {
-    std::vector<uint32_t> keys(500);
-    for (uint32_t& key : keys) {
-      key = static_cast<uint32_t>(rng.NextBounded(50));
+std::string FreshSpillDir(const char* tag) {
+  const std::string dir = testing::TempDir() + "/dod_spill_" + tag + "_" +
+                          std::to_string(::getpid());
+  std::error_code ec;
+  std::filesystem::remove_all(dir, ec);
+  return dir;
+}
+
+// Segment layouts of one reduce task's input: `memory` in-memory segments,
+// the first `runs` of them each followed by one disk run.
+struct SegmentLayout {
+  size_t memory;
+  size_t runs;
+};
+
+const SegmentLayout kLayouts[] = {{1, 0}, {3, 2}, {32, 8}};
+
+std::string LayoutName(const SegmentLayout& layout) {
+  return std::to_string(layout.memory) + "m+" + std::to_string(layout.runs) +
+         "r";
+}
+
+// One reduce task's segment list over `records` (at least one record per
+// slice), cut into consecutive slices laid out as `layout` says. Owns the
+// memory slices and the runs.
+template <typename K>
+struct SegmentInput {
+  std::vector<std::vector<std::pair<K, int>>> memory;
+  std::vector<internal::SpillRunInfo> runs;
+  std::vector<internal::ShuffleSegment<K, int>> segments;
+  internal::SpillGc gc;
+};
+
+template <typename K>
+std::unique_ptr<SegmentInput<K>> MakeSegments(
+    const std::vector<std::pair<K, int>>& records, SegmentLayout layout,
+    const std::string& dir) {
+  auto input = std::make_unique<SegmentInput<K>>();
+  std::vector<bool> is_run;
+  for (size_t m = 0; m < layout.memory; ++m) {
+    is_run.push_back(false);
+    if (m < layout.runs) is_run.push_back(true);
+  }
+  std::filesystem::create_directories(dir);
+  internal::TaskSpiller<K, int> spiller(
+      internal::SpillFilePath(dir, "map", 0), &input->gc);
+  typename internal::TaskSpiller<K, int>::Buckets flush(1);
+  input->memory.reserve(layout.memory);
+  for (size_t i = 0; i < is_run.size(); ++i) {
+    const auto begin = records.begin() + records.size() * i / is_run.size();
+    const auto end =
+        records.begin() + records.size() * (i + 1) / is_run.size();
+    if (is_run[i]) {
+      flush[0].assign(begin, end);
+      spiller.Spill(flush);
+    } else {
+      input->memory.emplace_back(begin, end);
     }
-    std::vector<std::pair<uint32_t, int>> sorted_bucket =
-        SequencedBucket(keys);
-    std::vector<std::pair<uint32_t, int>> columnar_bucket = sorted_bucket;
+  }
+  EXPECT_TRUE(spiller.status().ok());
+  input->runs = spiller.TakeRuns();
+  EXPECT_EQ(input->runs.size(), layout.runs);  // slices are never empty
+  size_t next_memory = 0;
+  size_t next_run = 0;
+  for (bool run : is_run) {
+    input->segments.push_back(
+        run ? internal::ShuffleSegment<K, int>{nullptr,
+                                               &input->runs[next_run++]}
+            : internal::ShuffleSegment<K, int>{&input->memory[next_memory++],
+                                               nullptr});
+  }
+  return input;
+}
 
-    GroupScratch<uint32_t, int> sorted_scratch;
-    GroupScratch<uint32_t, int> columnar_scratch;
-    GroupPath sorted_path;
-    GroupPath columnar_path;
-    const GroupedView<uint32_t, int> sorted = GroupBucket(
-        sorted_bucket, ShuffleMode::kSorted, &sorted_scratch, &sorted_path);
-    const GroupedView<uint32_t, int> columnar =
-        GroupBucket(columnar_bucket, ShuffleMode::kColumnar,
-                    &columnar_scratch, &columnar_path);
+// The path a grouping of `segments` reports when no guard fires.
+template <typename K>
+GroupPath PlainPath(ShuffleMode mode,
+                    const std::vector<internal::ShuffleSegment<K, int>>& s) {
+  const bool any_runs =
+      std::any_of(s.begin(), s.end(), [](const auto& seg) {
+        return seg.run != nullptr;
+      });
+  if (mode == ShuffleMode::kColumnar) {
+    return any_runs ? GroupPath::kColumnarSpilled : GroupPath::kColumnar;
+  }
+  return any_runs ? GroupPath::kSortedSpilled : GroupPath::kSorted;
+}
 
-    EXPECT_EQ(sorted_path, GroupPath::kSorted);
-    EXPECT_EQ(columnar_path, GroupPath::kColumnar);
-    ExpectSameGroups(columnar, sorted);
-    // The columnar path must not touch the bucket (attempt retries re-read
-    // it); record order is the emission order.
-    EXPECT_EQ(columnar_bucket, SequencedBucket(keys));
+TEST(ShuffleGroupingTest, ModesMatchOracleOnRandomSegments) {
+  const std::string dir = FreshSpillDir("random");
+  Rng rng(2026);
+  for (const SegmentLayout& layout : kLayouts) {
+    for (int round = 0; round < 8; ++round) {
+      std::vector<uint32_t> keys(500);
+      for (uint32_t& key : keys) {
+        key = static_cast<uint32_t>(rng.NextBounded(50));
+      }
+      const std::vector<std::pair<uint32_t, int>> records =
+          SequencedBucket(keys);
+      for (ShuffleMode mode : {ShuffleMode::kSorted, ShuffleMode::kColumnar}) {
+        const std::string label =
+            LayoutName(layout) + " " + ShuffleModeName(mode);
+        auto input = MakeSegments(records, layout, dir);
+        const std::vector<std::vector<std::pair<uint32_t, int>>> pristine =
+            input->memory;
+        GroupScratch<uint32_t, int> scratch;
+        GroupPath path;
+        FallbackReason reason;
+        auto grouped = internal::GroupSegments(input->segments, mode,
+                                               &scratch, &path, &reason,
+                                               /*budget=*/nullptr);
+        ASSERT_TRUE(grouped.ok()) << label;
+        EXPECT_EQ(path, PlainPath(mode, input->segments)) << label;
+        EXPECT_EQ(reason, FallbackReason::kNone) << label;
+        ExpectOracleGroups(grouped.value(), records);
+        if (mode == ShuffleMode::kColumnar) {
+          // The columnar path must not touch the memory segments (attempt
+          // retries re-read them): every slice keeps its emission order.
+          ASSERT_EQ(input->memory.size(), pristine.size()) << label;
+          for (size_t i = 0; i < pristine.size(); ++i) {
+            EXPECT_EQ(input->memory[i], pristine[i]) << label << " slice " << i;
+          }
+        } else if (layout.runs == 0) {
+          // Memory-only sorted input is sorted in place: no merged copy.
+          EXPECT_EQ(scratch.merged.capacity(), 0u) << label;
+        }
+        // An attempt retry regroups the same segment list to the same
+        // groups, whatever the first grouping did to the memory segments.
+        GroupScratch<uint32_t, int> retry_scratch;
+        auto retried = internal::GroupSegments(input->segments, mode,
+                                               &retry_scratch, &path, &reason,
+                                               /*budget=*/nullptr);
+        ASSERT_TRUE(retried.ok()) << label;
+        EXPECT_EQ(path, PlainPath(mode, input->segments)) << label;
+        EXPECT_EQ(reason, FallbackReason::kNone) << label;
+        ExpectOracleGroups(retried.value(), records);
+      }
+    }
   }
 }
 
 TEST(ShuffleGroupingTest, GroupsAscendingAndStableWithinGroup) {
   std::vector<std::pair<uint32_t, int>> bucket =
       SequencedBucket<uint32_t>({7, 3, 7, 0, 3, 7, 0, 9});
+  std::vector<internal::ShuffleSegment<uint32_t, int>> segments = {
+      {&bucket, nullptr}};
   GroupScratch<uint32_t, int> scratch;
   GroupPath path;
-  const GroupedView<uint32_t, int> groups =
-      GroupBucket(bucket, ShuffleMode::kColumnar, &scratch, &path);
+  FallbackReason reason;
+  auto grouped = internal::GroupSegments(segments, ShuffleMode::kColumnar,
+                                         &scratch, &path, &reason, nullptr);
+  ASSERT_TRUE(grouped.ok());
+  const GroupedView<uint32_t, int>& groups = grouped.value();
 
   ASSERT_EQ(groups.num_groups(), 4u);
   EXPECT_EQ(groups.num_records(), 8u);
@@ -134,33 +270,38 @@ TEST(ShuffleGroupingTest, GroupsAscendingAndStableWithinGroup) {
 TEST(ShuffleGroupingTest, SortedBackingHasNoColumn) {
   std::vector<std::pair<uint32_t, int>> bucket =
       SequencedBucket<uint32_t>({1, 1, 2});
+  std::vector<internal::ShuffleSegment<uint32_t, int>> segments = {
+      {&bucket, nullptr}};
   GroupScratch<uint32_t, int> scratch;
   GroupPath path;
-  const GroupedView<uint32_t, int> groups =
-      GroupBucket(bucket, ShuffleMode::kSorted, &scratch, &path);
-  EXPECT_EQ(groups.column(0), nullptr);
-  EXPECT_EQ(groups.value(0, 1), 1);
+  FallbackReason reason;
+  auto grouped = internal::GroupSegments(segments, ShuffleMode::kSorted,
+                                         &scratch, &path, &reason, nullptr);
+  ASSERT_TRUE(grouped.ok());
+  EXPECT_EQ(path, GroupPath::kSorted);
+  EXPECT_EQ(grouped.value().column(0), nullptr);
+  EXPECT_EQ(grouped.value().value(0, 1), 1);
 }
 
 TEST(ShuffleGroupingTest, NegativeKeysGroupInAscendingOrder) {
-  std::vector<std::pair<int, int>> sorted_bucket =
+  const std::vector<std::pair<int, int>> records =
       SequencedBucket<int>({3, -5, 0, -5, 3, -1, 0});
-  std::vector<std::pair<int, int>> columnar_bucket = sorted_bucket;
-  GroupScratch<int, int> sorted_scratch;
-  GroupScratch<int, int> columnar_scratch;
-  GroupPath sorted_path;
-  GroupPath columnar_path;
-  const GroupedView<int, int> sorted = GroupBucket(
-      sorted_bucket, ShuffleMode::kSorted, &sorted_scratch, &sorted_path);
-  const GroupedView<int, int> columnar =
-      GroupBucket(columnar_bucket, ShuffleMode::kColumnar, &columnar_scratch,
-                  &columnar_path);
-
-  EXPECT_EQ(columnar_path, GroupPath::kColumnar);
-  ASSERT_EQ(columnar.num_groups(), 4u);
-  EXPECT_EQ(columnar.key(0), -5);
-  EXPECT_EQ(columnar.key(3), 3);
-  ExpectSameGroups(columnar, sorted);
+  for (ShuffleMode mode : {ShuffleMode::kSorted, ShuffleMode::kColumnar}) {
+    std::vector<std::pair<int, int>> bucket = records;
+    std::vector<internal::ShuffleSegment<int, int>> segments = {
+        {&bucket, nullptr}};
+    GroupScratch<int, int> scratch;
+    GroupPath path;
+    FallbackReason reason;
+    auto grouped = internal::GroupSegments(segments, mode, &scratch, &path,
+                                           &reason, nullptr);
+    ASSERT_TRUE(grouped.ok());
+    EXPECT_EQ(path, PlainPath(mode, segments));
+    ASSERT_EQ(grouped.value().num_groups(), 4u);
+    EXPECT_EQ(grouped.value().key(0), -5);
+    EXPECT_EQ(grouped.value().key(3), 3);
+    ExpectOracleGroups(grouped.value(), records);
+  }
 }
 
 TEST(ShuffleGroupingTest, SparseKeyRangeFallsBackToSorting) {
@@ -168,12 +309,18 @@ TEST(ShuffleGroupingTest, SparseKeyRangeFallsBackToSorting) {
   // absurd, so the columnar request lands on the sorted path.
   std::vector<std::pair<uint32_t, int>> bucket =
       SequencedBucket<uint32_t>({1000000, 0, 1000000});
+  std::vector<internal::ShuffleSegment<uint32_t, int>> segments = {
+      {&bucket, nullptr}};
   GroupScratch<uint32_t, int> scratch;
   GroupPath path;
-  const GroupedView<uint32_t, int> groups =
-      GroupBucket(bucket, ShuffleMode::kColumnar, &scratch, &path);
+  FallbackReason reason;
+  auto grouped = internal::GroupSegments(segments, ShuffleMode::kColumnar,
+                                         &scratch, &path, &reason, nullptr);
+  ASSERT_TRUE(grouped.ok());
+  const GroupedView<uint32_t, int>& groups = grouped.value();
 
   EXPECT_EQ(path, GroupPath::kSortedFallback);
+  EXPECT_EQ(reason, FallbackReason::kDensity);
   ASSERT_EQ(groups.num_groups(), 2u);
   EXPECT_EQ(groups.key(0), 0u);
   EXPECT_EQ(groups.key(1), 1000000u);
@@ -182,23 +329,34 @@ TEST(ShuffleGroupingTest, SparseKeyRangeFallsBackToSorting) {
   EXPECT_EQ(groups.value(1, 1), 2);
 }
 
-TEST(ShuffleGroupingTest, EmptyAndSingleKeyBuckets) {
+TEST(ShuffleGroupingTest, EmptyAndSingleKeyInputs) {
   for (ShuffleMode mode : {ShuffleMode::kSorted, ShuffleMode::kColumnar}) {
     std::vector<std::pair<uint32_t, int>> empty;
     GroupScratch<uint32_t, int> scratch;
     GroupPath path;
-    const GroupedView<uint32_t, int> none =
-        GroupBucket(empty, mode, &scratch, &path);
-    EXPECT_EQ(none.num_groups(), 0u);
-    EXPECT_EQ(none.num_records(), 0u);
+    FallbackReason reason;
+    for (std::vector<internal::ShuffleSegment<uint32_t, int>> segments :
+         {std::vector<internal::ShuffleSegment<uint32_t, int>>{},
+          std::vector<internal::ShuffleSegment<uint32_t, int>>{
+              {&empty, nullptr}}}) {
+      auto none = internal::GroupSegments(segments, mode, &scratch, &path,
+                                          &reason, nullptr);
+      ASSERT_TRUE(none.ok());
+      EXPECT_EQ(path, PlainPath(mode, segments));
+      EXPECT_EQ(none.value().num_groups(), 0u);
+      EXPECT_EQ(none.value().num_records(), 0u);
+    }
 
     std::vector<std::pair<uint32_t, int>> single =
         SequencedBucket<uint32_t>({42, 42, 42});
-    const GroupedView<uint32_t, int> one =
-        GroupBucket(single, mode, &scratch, &path);
-    ASSERT_EQ(one.num_groups(), 1u);
-    EXPECT_EQ(one.key(0), 42u);
-    EXPECT_EQ(one.size(0), 3u);
+    std::vector<internal::ShuffleSegment<uint32_t, int>> segments = {
+        {&single, nullptr}};
+    auto one = internal::GroupSegments(segments, mode, &scratch, &path,
+                                       &reason, nullptr);
+    ASSERT_TRUE(one.ok());
+    ASSERT_EQ(one.value().num_groups(), 1u);
+    EXPECT_EQ(one.value().key(0), 42u);
+    EXPECT_EQ(one.value().size(0), 3u);
   }
 }
 
@@ -377,7 +535,6 @@ TEST(ShuffleEngineTest, PartitionTableMatchesPartitionFunction) {
   // The pipeline routes through a lambda over its allocation table; the
   // engine must treat it exactly like any other partition callable.
   JobSpec spec = DigestSpec(ShuffleMode::kColumnar, 4, FaultSpec{});
-  spec.split_record_hints.assign(7, 60);  // exercise bucket pre-sizing too
   std::vector<int> table(17);
   for (int key = 0; key < 17; ++key) table[key] = key % 4;
 
@@ -719,14 +876,6 @@ uint64_t MetricCount(const std::vector<MetricSnapshot>& snapshots,
 // modes × threads × faults, garbage-collected run files, reason-labeled
 // fallbacks, and exact crash-resume with spilled checkpoints.
 
-std::string FreshSpillDir(const char* tag) {
-  const std::string dir = testing::TempDir() + "/dod_spill_" + tag + "_" +
-                          std::to_string(::getpid());
-  std::error_code ec;
-  std::filesystem::remove_all(dir, ec);
-  return dir;
-}
-
 size_t SpillFilesIn(const std::string& dir) {
   // Recursive: the engine namespaces run files per job under the
   // configured spill dir.
@@ -798,14 +947,14 @@ TEST(ShuffleSpillTest, TaskSpillerRoundTripsSortedRunsWithChecksums) {
   EXPECT_NE(status.message().find("checksum"), std::string::npos);
 }
 
-TEST(ShuffleSpillTest, GroupSegmentsMatchesGroupBucketOfConcatenation) {
+TEST(ShuffleSpillTest, GroupSegmentsMatchesOracleOfConcatenation) {
   const std::string dir = FreshSpillDir("segments");
   std::filesystem::create_directories(dir);
   Rng rng(4097);
   for (ShuffleMode mode : {ShuffleMode::kSorted, ShuffleMode::kColumnar}) {
     // Three map tasks' worth of records; task 1 spills in two flushes, the
-    // others stay in memory. The reference is the in-memory grouping of
-    // the concatenation in (task, flush) order.
+    // others stay in memory. The reference is the oracle grouping of the
+    // concatenation in (task, flush) order.
     std::vector<std::vector<std::pair<uint32_t, int>>> slices(4);
     std::vector<std::pair<uint32_t, int>> all;
     int seq = 0;
@@ -815,10 +964,6 @@ TEST(ShuffleSpillTest, GroupSegmentsMatchesGroupBucketOfConcatenation) {
       }
       all.insert(all.end(), slice.begin(), slice.end());
     }
-    internal::GroupScratch<uint32_t, int> reference_scratch;
-    internal::GroupPath reference_path;
-    const GroupedView<uint32_t, int> reference = internal::GroupBucket(
-        all, mode, &reference_scratch, &reference_path);
 
     internal::SpillGc gc;
     internal::TaskSpiller<uint32_t, int> spiller(
@@ -836,17 +981,17 @@ TEST(ShuffleSpillTest, GroupSegmentsMatchesGroupBucketOfConcatenation) {
     segments.push_back({nullptr, &runs[0]});
     segments.push_back({nullptr, &runs[1]});
     segments.push_back({&slices[3], nullptr});
-    internal::GroupScratch<uint32_t, int> scratch;
-    internal::GroupPath path;
-    internal::FallbackReason reason;
+    GroupScratch<uint32_t, int> scratch;
+    GroupPath path;
+    FallbackReason reason;
     auto grouped = internal::GroupSegments(segments, mode, &scratch, &path,
                                            &reason, nullptr);
     ASSERT_TRUE(grouped.ok()) << ShuffleModeName(mode);
     EXPECT_EQ(path, mode == ShuffleMode::kColumnar
-                        ? internal::GroupPath::kColumnarSpilled
-                        : internal::GroupPath::kSortedSpilled);
-    EXPECT_EQ(reason, internal::FallbackReason::kNone);
-    ExpectSameGroups(grouped.value(), reference);
+                        ? GroupPath::kColumnarSpilled
+                        : GroupPath::kSortedSpilled);
+    EXPECT_EQ(reason, FallbackReason::kNone);
+    ExpectOracleGroups(grouped.value(), all);
   }
 }
 
@@ -856,8 +1001,8 @@ TEST(ShuffleSpillTest, GroupSegmentsOrdersMixedSignKeysLikeInMemory) {
 
   // int keys spanning zero with a small signed range: the density guard
   // admits them (the unsigned subtraction wraps back to the true span),
-  // and the spilled histogram must emit groups in signed ascending order
-  // — negative keys first — exactly like the in-memory columnar path.
+  // and the histogram must emit groups in signed ascending order —
+  // negative keys first — whether the records sit in memory or in runs.
   {
     Rng rng(777);
     std::vector<int> keys(300);
@@ -875,11 +1020,6 @@ TEST(ShuffleSpillTest, GroupSegmentsOrdersMixedSignKeysLikeInMemory) {
     }
     std::vector<std::pair<int, int>> all = memory_slice;
     all.insert(all.end(), run_slice.begin(), run_slice.end());
-    internal::GroupScratch<int, int> reference_scratch;
-    internal::GroupPath reference_path;
-    const GroupedView<int, int> reference = internal::GroupBucket(
-        all, ShuffleMode::kColumnar, &reference_scratch, &reference_path);
-    ASSERT_EQ(reference_path, internal::GroupPath::kColumnar);
 
     internal::SpillGc gc;
     internal::TaskSpiller<int, int> spiller(
@@ -897,21 +1037,33 @@ TEST(ShuffleSpillTest, GroupSegmentsOrdersMixedSignKeysLikeInMemory) {
     std::vector<internal::ShuffleSegment<int, int>> segments;
     segments.push_back({&memory_slice, nullptr});
     segments.push_back({nullptr, &runs[0]});
-    internal::GroupScratch<int, int> scratch;
-    internal::GroupPath path;
-    internal::FallbackReason reason;
+    GroupScratch<int, int> scratch;
+    GroupPath path;
+    FallbackReason reason;
     auto grouped = internal::GroupSegments(segments, ShuffleMode::kColumnar,
                                            &scratch, &path, &reason, nullptr);
     ASSERT_TRUE(grouped.ok());
-    EXPECT_EQ(path, internal::GroupPath::kColumnarSpilled);
-    EXPECT_EQ(reason, internal::FallbackReason::kNone);
-    ExpectSameGroups(grouped.value(), reference);
+    EXPECT_EQ(path, GroupPath::kColumnarSpilled);
+    EXPECT_EQ(reason, FallbackReason::kNone);
+    ExpectOracleGroups(grouped.value(), all);
+
+    for (const SegmentLayout& layout : kLayouts) {
+      auto input = MakeSegments(all, layout, dir + "/layout");
+      GroupScratch<int, int> layout_scratch;
+      auto regrouped = internal::GroupSegments(
+          input->segments, ShuffleMode::kColumnar, &layout_scratch, &path,
+          &reason, nullptr);
+      ASSERT_TRUE(regrouped.ok()) << LayoutName(layout);
+      EXPECT_EQ(path, PlainPath(ShuffleMode::kColumnar, input->segments))
+          << LayoutName(layout);
+      EXPECT_EQ(reason, FallbackReason::kNone) << LayoutName(layout);
+      ExpectOracleGroups(regrouped.value(), all);
+    }
   }
 
   // Narrow keys (int8): the unsigned subtraction promotes to int and goes
-  // negative for a mixed-sign span, so the density guard rejects — the
-  // same verdict CountingSortGroups reaches in memory. Both sides must
-  // take the sorted path and agree.
+  // negative for a mixed-sign span, so the density guard rejects whatever
+  // the layout, and the sorted path must still group like the oracle.
   {
     std::vector<int8_t> keys(200);
     for (size_t i = 0; i < keys.size(); ++i) {
@@ -925,11 +1077,6 @@ TEST(ShuffleSpillTest, GroupSegmentsOrdersMixedSignKeysLikeInMemory) {
     }
     std::vector<std::pair<int8_t, int>> all = memory_slice;
     all.insert(all.end(), run_slice.begin(), run_slice.end());
-    internal::GroupScratch<int8_t, int> reference_scratch;
-    internal::GroupPath reference_path;
-    const GroupedView<int8_t, int> reference = internal::GroupBucket(
-        all, ShuffleMode::kColumnar, &reference_scratch, &reference_path);
-    ASSERT_EQ(reference_path, internal::GroupPath::kSortedFallback);
 
     internal::SpillGc gc;
     internal::TaskSpiller<int8_t, int> spiller(
@@ -944,100 +1091,161 @@ TEST(ShuffleSpillTest, GroupSegmentsOrdersMixedSignKeysLikeInMemory) {
     std::vector<internal::ShuffleSegment<int8_t, int>> segments;
     segments.push_back({&memory_slice, nullptr});
     segments.push_back({nullptr, &runs[0]});
-    internal::GroupScratch<int8_t, int> scratch;
-    internal::GroupPath path;
-    internal::FallbackReason reason;
+    GroupScratch<int8_t, int> scratch;
+    GroupPath path;
+    FallbackReason reason;
     auto grouped = internal::GroupSegments(segments, ShuffleMode::kColumnar,
                                            &scratch, &path, &reason, nullptr);
     ASSERT_TRUE(grouped.ok());
-    EXPECT_EQ(path, internal::GroupPath::kSortedSpilled);
-    EXPECT_EQ(reason, internal::FallbackReason::kDensity);
-    ExpectSameGroups(grouped.value(), reference);
+    EXPECT_EQ(path, GroupPath::kSortedSpilled);
+    EXPECT_EQ(reason, FallbackReason::kDensity);
+    ExpectOracleGroups(grouped.value(), all);
+
+    for (const SegmentLayout& layout : kLayouts) {
+      auto input = MakeSegments(all, layout, dir + "/layout");
+      GroupScratch<int8_t, int> layout_scratch;
+      auto regrouped = internal::GroupSegments(
+          input->segments, ShuffleMode::kColumnar, &layout_scratch, &path,
+          &reason, nullptr);
+      ASSERT_TRUE(regrouped.ok()) << LayoutName(layout);
+      EXPECT_EQ(path, layout.runs > 0 ? GroupPath::kSortedSpilled
+                                      : GroupPath::kSortedFallback)
+          << LayoutName(layout);
+      EXPECT_EQ(reason, FallbackReason::kDensity) << LayoutName(layout);
+      ExpectOracleGroups(regrouped.value(), all);
+    }
   }
+}
+
+// Keys (i * 7) % 50 for i < n, in emission order.
+std::vector<std::pair<uint32_t, int>> DegradeRecords(size_t n) {
+  std::vector<uint32_t> keys(n);
+  for (size_t i = 0; i < keys.size(); ++i) {
+    keys[i] = static_cast<uint32_t>((i * 7) % 50);
+  }
+  return SequencedBucket(keys);
 }
 
 TEST(ShuffleSpillTest, BudgetPressureDegradesToSpilledColumnarRun) {
   const std::string dir = FreshSpillDir("degrade");
   std::filesystem::create_directories(dir);
-
-  std::vector<uint32_t> keys(500);
-  for (size_t i = 0; i < keys.size(); ++i) {
-    keys[i] = static_cast<uint32_t>((i * 7) % 50);
-  }
-  std::vector<std::pair<uint32_t, int>> reference_bucket =
-      SequencedBucket(keys);
-  internal::GroupScratch<uint32_t, int> reference_scratch;
-  internal::GroupPath reference_path;
-  const GroupedView<uint32_t, int> reference =
-      internal::GroupBucket(reference_bucket, ShuffleMode::kColumnar,
-                            &reference_scratch, &reference_path);
-  ASSERT_EQ(reference_path, internal::GroupPath::kColumnar);
+  const std::vector<std::pair<uint32_t, int>> records = DegradeRecords(500);
 
   // Budget window where the histogram scratch fits alone but not next to
-  // the resident bucket: the regime only spilling can serve, by freeing
-  // the bucket before the histogram pass.
+  // the resident segment: the regime only spilling can serve, by freeing
+  // the segment before the histogram pass.
   const uint64_t scratch_bytes = internal::ColumnarScratchBytes(
-      keys.size(), /*range=*/50, sizeof(uint32_t), sizeof(int));
+      records.size(), /*range=*/50, sizeof(uint32_t), sizeof(int));
   MemoryBudget budget(scratch_bytes + 64);
   ASSERT_FALSE(budget.FitsAlone(
-      scratch_bytes + keys.size() * sizeof(std::pair<uint32_t, int>)));
+      scratch_bytes + records.size() * sizeof(std::pair<uint32_t, int>)));
 
-  SpillPolicy spill;
-  spill.dir = dir;
-  spill.threshold_bytes = uint64_t{1} << 30;  // map side never triggers
   internal::SpillGc gc;
-  std::vector<std::pair<uint32_t, int>> bucket = SequencedBucket(keys);
-  internal::GroupScratch<uint32_t, int> scratch;
-  std::vector<internal::ShuffleSegment<uint32_t, int>> segment_scratch;
+  std::vector<std::pair<uint32_t, int>> bucket = records;
+  std::vector<internal::ShuffleSegment<uint32_t, int>> segments = {
+      {&bucket, nullptr}};
   std::vector<internal::SpillRunInfo> spilled_runs;
-  internal::GroupPath path;
-  internal::FallbackReason reason;
-  auto grouped = internal::GroupBucketOrSpill(
-      bucket, ShuffleMode::kColumnar, &scratch, &path, &reason, &budget,
-      spill, internal::SpillFilePath(dir, "reduce", 0), &gc, &spilled_runs,
-      &segment_scratch);
+  const std::string file = internal::SpillFilePath(dir, "reduce", 0);
+  GroupScratch<uint32_t, int> scratch;
+  GroupPath path;
+  FallbackReason reason;
+  auto grouped = internal::GroupSegments(segments, ShuffleMode::kColumnar,
+                                         &scratch, &path, &reason, &budget,
+                                         file, &gc, &spilled_runs);
   ASSERT_TRUE(grouped.ok());
-  EXPECT_EQ(path, internal::GroupPath::kColumnarSpilled);
-  EXPECT_EQ(reason, internal::FallbackReason::kSpill);
-  EXPECT_TRUE(bucket.empty());  // resident bucket freed for real
+  EXPECT_EQ(path, GroupPath::kColumnarSpilled);
+  EXPECT_EQ(reason, FallbackReason::kSpill);
+  EXPECT_TRUE(bucket.empty());  // resident segment freed for real
+  EXPECT_EQ(bucket.capacity(), 0u);
   ASSERT_EQ(spilled_runs.size(), 1u);
-  ExpectSameGroups(grouped.value(), reference);
+  EXPECT_EQ(segments[0].run, &spilled_runs[0]);
+  ExpectOracleGroups(grouped.value(), records);
 
-  // Attempt retry: the bucket is already empty and the spilled state lives
-  // in spilled_runs — regrouping must reuse the run, not re-spill nothing.
-  internal::GroupScratch<uint32_t, int> retry_scratch;
-  internal::GroupPath retry_path;
-  internal::FallbackReason retry_reason;
-  auto regrouped = internal::GroupBucketOrSpill(
-      bucket, ShuffleMode::kColumnar, &retry_scratch, &retry_path,
-      &retry_reason, &budget, spill,
-      internal::SpillFilePath(dir, "reduce", 0), &gc, &spilled_runs,
-      &segment_scratch);
+  // Attempt retry: the segment already points at the persisted run —
+  // regrouping must reuse it, not re-spill nothing.
+  GroupScratch<uint32_t, int> retry_scratch;
+  GroupPath retry_path;
+  FallbackReason retry_reason;
+  auto regrouped = internal::GroupSegments(
+      segments, ShuffleMode::kColumnar, &retry_scratch, &retry_path,
+      &retry_reason, &budget, file, &gc, &spilled_runs);
   ASSERT_TRUE(regrouped.ok());
-  EXPECT_EQ(retry_path, internal::GroupPath::kColumnarSpilled);
-  EXPECT_EQ(retry_reason, internal::FallbackReason::kSpill);
-  ExpectSameGroups(regrouped.value(), reference);
+  EXPECT_EQ(retry_path, GroupPath::kColumnarSpilled);
+  EXPECT_EQ(retry_reason, FallbackReason::kSpill);
+  EXPECT_EQ(spilled_runs.size(), 1u);
+  ExpectOracleGroups(regrouped.value(), records);
 
-  // Without a spill dir there is no degrade that frees the bucket, so the
-  // comparable pressure is a budget the histogram scratch itself cannot
-  // fit: GroupBucket falls back to the sorted path and labels it
-  // budget-driven.
+  // Without a spill file there is no degrade that frees the segment, so
+  // the comparable pressure is a budget the histogram scratch itself
+  // cannot fit: the sorted path, labelled budget-driven. It sorts the
+  // memory segments' concatenation in place — no copy the budget never
+  // saw — folded into the first segment.
   MemoryBudget tight(scratch_bytes / 2);
-  std::vector<std::pair<uint32_t, int>> unspillable = SequencedBucket(keys);
-  internal::GroupScratch<uint32_t, int> sorted_scratch;
+  std::vector<std::vector<std::pair<uint32_t, int>>> unspillable(3);
   std::vector<internal::ShuffleSegment<uint32_t, int>> sorted_segments;
-  std::vector<internal::SpillRunInfo> no_runs;
-  internal::GroupPath sorted_path;
-  internal::FallbackReason sorted_reason;
-  auto sorted = internal::GroupBucketOrSpill(
-      unspillable, ShuffleMode::kColumnar, &sorted_scratch, &sorted_path,
-      &sorted_reason, &tight, SpillPolicy{},
-      internal::SpillFilePath(dir, "reduce", 1), &gc, &no_runs,
-      &sorted_segments);
+  for (size_t i = 0; i < unspillable.size(); ++i) {
+    unspillable[i].assign(
+        records.begin() + records.size() * i / unspillable.size(),
+        records.begin() + records.size() * (i + 1) / unspillable.size());
+    sorted_segments.push_back({&unspillable[i], nullptr});
+  }
+  GroupScratch<uint32_t, int> sorted_scratch;
+  GroupPath sorted_path;
+  FallbackReason sorted_reason;
+  auto sorted = internal::GroupSegments(sorted_segments,
+                                        ShuffleMode::kColumnar,
+                                        &sorted_scratch, &sorted_path,
+                                        &sorted_reason, &tight);
   ASSERT_TRUE(sorted.ok());
-  EXPECT_EQ(sorted_path, internal::GroupPath::kSortedBudget);
-  EXPECT_EQ(sorted_reason, internal::FallbackReason::kBudget);
-  ExpectSameGroups(sorted.value(), reference);
+  EXPECT_EQ(sorted_path, GroupPath::kSortedBudget);
+  EXPECT_EQ(sorted_reason, FallbackReason::kBudget);
+  ExpectOracleGroups(sorted.value(), records);
+  EXPECT_EQ(sorted_scratch.merged.capacity(), 0u);
+  EXPECT_EQ(unspillable[0].size(), records.size());
+  EXPECT_EQ(unspillable[1].capacity(), 0u);
+  EXPECT_EQ(unspillable[2].capacity(), 0u);
+}
+
+TEST(ShuffleSpillTest, BudgetDegradeSpillsEveryMemorySegment) {
+  // A task with several memory segments and some map-side runs: the
+  // degrade writes one run per memory segment, in list order, frees them
+  // all, and a second attempt regroups from the persisted runs.
+  const std::string dir = FreshSpillDir("degrade_many");
+  const std::vector<std::pair<uint32_t, int>> records = DegradeRecords(2000);
+  for (const SegmentLayout& layout : kLayouts) {
+    const std::string label = LayoutName(layout);
+    auto input = MakeSegments(records, layout, dir);
+    uint64_t resident = 0;
+    for (const auto& slice : input->memory) resident += slice.size();
+    const uint64_t scratch_bytes = internal::ColumnarScratchBytes(
+        records.size(), /*range=*/50, sizeof(uint32_t), sizeof(int));
+    MemoryBudget budget(scratch_bytes + 64);
+    ASSERT_FALSE(budget.FitsAlone(
+        scratch_bytes + resident * sizeof(std::pair<uint32_t, int>)))
+        << label;
+
+    std::vector<internal::SpillRunInfo> spilled_runs;
+    const std::string file = internal::SpillFilePath(dir, "reduce", 0);
+    for (int attempt = 0; attempt < 2; ++attempt) {
+      GroupScratch<uint32_t, int> scratch;
+      GroupPath path;
+      FallbackReason reason;
+      auto grouped = internal::GroupSegments(
+          input->segments, ShuffleMode::kColumnar, &scratch, &path, &reason,
+          &budget, file, &input->gc, &spilled_runs);
+      ASSERT_TRUE(grouped.ok()) << label << " attempt " << attempt;
+      EXPECT_EQ(path, GroupPath::kColumnarSpilled) << label;
+      EXPECT_EQ(reason, FallbackReason::kSpill) << label;
+      ExpectOracleGroups(grouped.value(), records);
+      ASSERT_EQ(spilled_runs.size(), layout.memory) << label;
+      for (const auto& slice : input->memory) {
+        EXPECT_EQ(slice.capacity(), 0u) << label;  // freed for real
+      }
+      for (const auto& segment : input->segments) {
+        EXPECT_EQ(segment.memory, nullptr) << label;
+      }
+    }
+  }
 }
 
 JobSpec SpilledDigestSpec(ShuffleMode mode, int threads,

@@ -722,6 +722,15 @@ TEST(StreamCliOrderTest, FlagValidationRejectsOrphans) {
   EXPECT_EQ(RunStreamCli("--n 100 --oracle_skip_empty").exit_code, 1);
   EXPECT_EQ(RunStreamCli("--n 100 --reorder_seed 3").exit_code, 1);
   EXPECT_EQ(RunStreamCli("--n 100 --idle_timeout 2").exit_code, 1);
+  // The CLI never commits on its own, so --checkpoint_every below 1 would
+  // leave nothing to resume from.
+  for (const char* every : {"0", "-1"}) {
+    const CommandResult result =
+        RunStreamCli(std::string("--n 100 --checkpoint_every ") + every);
+    EXPECT_EQ(result.exit_code, 1) << every << ": " << result.output;
+    EXPECT_NE(result.output.find("--checkpoint_every"), std::string::npos)
+        << result.output;
+  }
 }
 
 }  // namespace

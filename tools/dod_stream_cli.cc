@@ -84,7 +84,7 @@ Out-of-order admission:
 
 Durability:
   --checkpoint_dir DIR   commit window state every --checkpoint_every
-                         rounds (default 1)
+                         rounds (>= 1; default 1)
   --resume               restore the latest committed round and continue
                          the schedule from there
   --kill_after_round N   hard-exit (code 42, no flushes beyond the delta
@@ -274,6 +274,7 @@ int main(int argc, char** argv) {
   }
   config.checkpoint_dir = flags.GetStringOr("checkpoint_dir", "");
   config.resume = flags.GetBoolOr("resume", false);
+  if (every_flag.value() < 1) return Fail("--checkpoint_every must be >= 1");
   config.checkpoint_every = static_cast<uint64_t>(every_flag.value());
   // The schedule's identity: resuming under a different workload would
   // silently replay the wrong blocks, so it is part of the job key. The

@@ -213,8 +213,7 @@ int ValidateDurabilityMetrics(const dod::JsonValue& metrics) {
         "durability.checkpoint.tasks_resumed",
         "durability.checkpoint.bytes_written",
         "durability.checkpoint.load_failures", "durability.control.aborts",
-        "durability.memory.shuffle_budget_fallbacks",
-        "durability.memory.reserve_skipped"}) {
+        "durability.memory.shuffle_budget_fallbacks"}) {
     if (!counters.Get(name).is_number()) {
       return Fail(std::string("metrics: missing durability counter \"") +
                   name + "\"");
