@@ -298,10 +298,11 @@ int main() {
               columnar32.records_per_sec / sorted.records_per_sec);
 
   // Spill regime: same bucket through on-disk runs. The overhead compares
-  // the full spilled pass (run writes + columnar two-pass off disk)
-  // against the in-memory sorted grouping — the path the engine would
-  // otherwise degrade to under the same budget pressure, so this ratio is
-  // the price of choosing the spill over the kSortedBudget fallback.
+  // the full spilled pass (map-side run writes + columnar two-pass off
+  // disk) against the in-memory sorted grouping — the path a reduce task
+  // takes when its histogram scratch does not fit the memory budget alone
+  // (kSortedBudget) — so this ratio is the price of keeping map output on
+  // disk instead of resident.
   const SpillRegimePoint spill =
       MeasureSpillRegime(bucket, /*repeats=*/7, /*slices=*/4);
   if (spill.checksum != columnar.checksum || spill.groups != columnar.groups) {

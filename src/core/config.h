@@ -89,11 +89,14 @@ struct DodConfig {
   // entry; <= 0 disables. Exceeding it aborts between tasks / cells with
   // kDeadlineExceeded and partial-progress stats.
   double deadline_seconds = 0.0;
-  // Memory ceiling for arena and shuffle-scratch allocations; 0 = no
-  // limit. The columnar shuffle degrades to the sorted path when its
-  // scratch alone would not fit (result-identical, counter-visible), and
-  // arena reservations that exceed the budget fail the run with
-  // kResourceExhausted.
+  // Memory ceiling of the reduce tasks' detection arenas; 0 = no limit.
+  // An arena's reservation waits until it fits next to the other tasks'
+  // and fails the run with kResourceExhausted only when it cannot fit
+  // alone (the same error at every thread count). A task whose columnar
+  // grouping scratch alone would not fit groups by the sorted path
+  // instead (result-identical, counter-visible). At most
+  // UINT64_MAX >> 20; Run refuses larger values, as it does for
+  // spill_threshold_mb.
   uint64_t memory_budget_mb = 0;
   // Spill-to-disk shuffle (see mapreduce/spill.h). When `spill_dir` is
   // set, map tasks whose emitted bytes cross the threshold flush their

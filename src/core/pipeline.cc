@@ -555,6 +555,36 @@ class VerifyReducer : public Reducer<uint32_t, VerifyRecord, PointId> {
   MemoryBudget* memory_;
 };
 
+// InvalidArgument for job shapes the engine cannot run and byte budgets
+// whose MiB -> byte conversion would wrap (and so silently shrink, or
+// turn into "unlimited").
+Status CheckRunShape(const DodConfig& config) {
+  if (config.num_reduce_tasks < 1) {
+    return Status::InvalidArgument(
+        "DodPipeline::Run: num_reduce_tasks must be >= 1");
+  }
+  if (config.num_blocks == 0) {
+    return Status::InvalidArgument("DodPipeline::Run: num_blocks must be >= 1");
+  }
+  if (config.sampler.buckets_per_dim < 1) {
+    return Status::InvalidArgument(
+        "DodPipeline::Run: sampler.buckets_per_dim must be >= 1");
+  }
+  constexpr uint64_t kMaxMib = std::numeric_limits<uint64_t>::max() >> 20;
+  if (config.memory_budget_mb > kMaxMib) {
+    return Status::InvalidArgument(
+        "DodPipeline::Run: memory_budget_mb " +
+        std::to_string(config.memory_budget_mb) + " overflows a byte count");
+  }
+  if (config.spill_threshold_mb > kMaxMib) {
+    return Status::InvalidArgument(
+        "DodPipeline::Run: spill_threshold_mb " +
+        std::to_string(config.spill_threshold_mb) +
+        " overflows a byte count");
+  }
+  return Status::Ok();
+}
+
 // InvalidArgument when Cell-Based can run — DMT may pick it for any
 // partition, the baselines when it is the fixed detector — and the domain
 // is too many cells wide for the grid's int32 cell coordinates. A
@@ -611,6 +641,7 @@ Result<DodResult> DodPipeline::Run(const Dataset& data,
                                    RunDiagnostics* diagnostics) const {
   DOD_RETURN_IF_ERROR(CheckPipelinePointCount(data.size()));
   const DodConfig& config = config_;
+  DOD_RETURN_IF_ERROR(CheckRunShape(config));
   const Rect domain = data.Bounds();
   DOD_RETURN_IF_ERROR(CheckCellGridRange(config, domain));
   StopWatch wall;
@@ -624,7 +655,7 @@ Result<DodResult> DodPipeline::Run(const Dataset& data,
   // jobs (0 = unlimited, accounting still feeds the peak gauge).
   const RunControl control =
       RunControl::WithDeadline(config.deadline_seconds, config.cancel_token);
-  MemoryBudget memory(config.memory_budget_mb * (1024ull * 1024ull));
+  MemoryBudget memory(config.memory_budget_mb << 20);
   const RunControl* control_ptr = control.active() ? &control : nullptr;
 
   // ---- Preprocessing job -------------------------------------------------
@@ -733,7 +764,7 @@ Result<DodResult> DodPipeline::Run(const Dataset& data,
   spec.retry = config.retry;
   spec.shuffle = config.shuffle;
   spec.spill.dir = config.spill_dir;
-  spec.spill.threshold_bytes = config.spill_threshold_mb * (uint64_t{1} << 20);
+  spec.spill.threshold_bytes = config.spill_threshold_mb << 20;
   spec.resume = config.resume;
   spec.control = control_ptr;
   spec.memory = &memory;

@@ -60,10 +60,11 @@ Status TaskArena::TryReserve(size_t num_cells, size_t num_points) {
       static_cast<uint64_t>(slots) *
       (static_cast<uint64_t>(data_.dims()) * sizeof(double) +
        sizeof(uint32_t));
+  // One reservation for both buffers: a holder of one reservation never
+  // waits for another, which is what keeps MemoryBudget::Reserve's
+  // waiting deadlock-free.
   DOD_RETURN_IF_ERROR(
-      stage_charge_.Acquire(budget_, stage_bytes, "task arena id staging"));
-  DOD_RETURN_IF_ERROR(
-      probe_charge_.Acquire(budget_, probe_bytes, "task arena probe buffer"));
+      charge_.Acquire(budget_, stage_bytes + probe_bytes, "task arena"));
   try {
     cells_.reserve(num_cells);
     ids_.reserve(num_points);
@@ -75,11 +76,6 @@ Status TaskArena::TryReserve(size_t num_cells, size_t num_points) {
         " cells failed to allocate (std::bad_alloc)");
   }
   return Status::Ok();
-}
-
-void TaskArena::Reserve(size_t num_cells, size_t num_points) {
-  const Status status = TryReserve(num_cells, num_points);
-  DOD_CHECK(status.ok());
 }
 
 void TaskArena::BeginCell() {

@@ -120,18 +120,17 @@ class PartitionView {
 // it), and records the kernels.soa_reuse.* metrics.
 class TaskArena {
  public:
-  // `budget` (optional, borrowed) bounds the arena's reservations: the id
-  // staging and the probe buffer are charged before allocation and the
-  // charges are held for the arena's lifetime (Clear() keeps capacity, so
-  // it keeps the charges too).
+  // `budget` (optional, borrowed) bounds the arena: the id staging and the
+  // probe buffer are reserved together, as one charge, before allocation,
+  // and the charge is held for the arena's lifetime (Clear() keeps
+  // capacity, so it keeps the charge too).
   explicit TaskArena(const Dataset& data, MemoryBudget* budget = nullptr);
 
-  // Optional pre-sizing with the task's totals. The Try variant charges the
-  // estimated bytes against the budget and converts denial or a failed
-  // allocation into kResourceExhausted; the void variant is the legacy
-  // budget-free path and aborts on failure.
+  // Optional pre-sizing with the task's totals. Reserves the estimated
+  // bytes against the budget — waiting for room while other arenas hold
+  // theirs (MemoryBudget::Reserve) — and returns kResourceExhausted when
+  // they cannot fit the budget alone or the allocation fails.
   Status TryReserve(size_t num_cells, size_t num_points);
-  void Reserve(size_t num_cells, size_t num_points);
 
   void BeginCell();
   void AddPoint(PointId id) { ids_.push_back(id); }
@@ -163,8 +162,7 @@ class TaskArena {
 
   const Dataset& data_;
   MemoryBudget* budget_;
-  MemoryCharge stage_charge_;
-  MemoryCharge probe_charge_;
+  MemoryCharge charge_;
   std::vector<PointId> ids_;
   std::vector<CellSlot> cells_;
   SoABlock probes_;

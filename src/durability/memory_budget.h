@@ -2,31 +2,38 @@
 //
 // Cooperative memory budgeting for large transient allocations.
 //
-// A `MemoryBudget` tracks bytes charged against a caller-set limit. Two
-// distinct questions are answered, and keeping them separate is what makes
-// budget-driven decisions reproducible:
+// A `MemoryBudget` tracks bytes reserved against a caller-set limit. It
+// answers two questions, and both answers are independent of thread count
+// and interleaving, which keeps outputs and errors byte-identical:
 //
 //  - `FitsAlone(bytes)`: would this allocation, by itself, fit the limit?
-//    This is a pure function of (bytes, limit) — independent of what other
-//    threads have charged — so decisions made on it (e.g. degrading the
-//    columnar shuffle to the sorted path) are deterministic across thread
-//    counts and interleavings, keeping outputs byte-identical.
+//    A pure function of (bytes, limit). Decisions made on it (sending a
+//    reduce task's columnar grouping to the sorted path) are
+//    deterministic.
 //
-//  - `TryCharge(bytes)`: account the allocation against current usage.
-//    This is the real concurrent bookkeeping; it feeds the peak gauge and
-//    turns genuine overcommit into structured kResourceExhausted errors.
+//  - `Reserve(bytes, what)`: admit the allocation. It fails only when the
+//    bytes do not fit alone — with a message built from the bytes and the
+//    limit, so every thread count reports the same error. Otherwise it
+//    waits until the bytes fit next to the live reservations, then charges
+//    them; `Release` wakes the waiters.
 //
-// A zero limit means unlimited: every check passes, accounting still runs
-// so peak usage is observable. Charges must be paired with releases; the
-// RAII `MemoryCharge` does that, and also converts `std::bad_alloc` thrown
-// by the guarded allocation into kResourceExhausted at its call sites.
+// Waiting cannot deadlock as long as every holder owns at most one
+// reservation and never waits while it holds it: then some holder always
+// runs to its release, and every reservation that fits alone is granted.
+// Each reduce task's `TaskArena` is that holder (one reservation for id
+// staging and probe buffer together, held for the task's detection).
+//
+// A zero limit means unlimited: Reserve never waits, accounting still runs
+// so peak usage is observable. The RAII `MemoryCharge` pairs Reserve with
+// Release.
 
 #ifndef DOD_DURABILITY_MEMORY_BUDGET_H_
 #define DOD_DURABILITY_MEMORY_BUDGET_H_
 
 #include <algorithm>
-#include <atomic>
+#include <condition_variable>
 #include <cstdint>
+#include <mutex>
 #include <string>
 
 #include "common/status.h"
@@ -39,56 +46,64 @@ class MemoryBudget {
   explicit MemoryBudget(uint64_t limit_bytes = 0) : limit_(limit_bytes) {}
 
   uint64_t limit_bytes() const { return limit_; }
-  uint64_t used_bytes() const { return used_.load(std::memory_order_relaxed); }
-  uint64_t peak_bytes() const { return peak_.load(std::memory_order_relaxed); }
+  uint64_t used_bytes() const {
+    std::lock_guard<std::mutex> lock(mutex_);
+    return used_;
+  }
+  uint64_t peak_bytes() const {
+    std::lock_guard<std::mutex> lock(mutex_);
+    return peak_;
+  }
 
   // Deterministic admission check: true iff an allocation of `bytes` fits
-  // the limit on its own. Use for decisions that must not depend on
-  // concurrent usage (see file comment).
+  // the limit on its own (see file comment).
   bool FitsAlone(uint64_t bytes) const {
     return limit_ == 0 || bytes <= limit_;
   }
 
-  // Charges `bytes` against current usage; false when the charge would
-  // push usage past the limit (nothing is charged in that case).
-  bool TryCharge(uint64_t bytes) {
-    uint64_t used = used_.load(std::memory_order_relaxed);
-    do {
-      if (limit_ != 0 && (used >= limit_ || bytes > limit_ - used)) {
-        return false;
-      }
-    } while (!used_.compare_exchange_weak(used, used + bytes,
-                                          std::memory_order_relaxed));
-    UpdatePeak(used + bytes);
-    return true;
+  // kResourceExhausted (nothing charged) when `bytes` cannot fit alone;
+  // otherwise blocks until they fit next to the live reservations and
+  // charges them.
+  Status Reserve(uint64_t bytes, const char* what) {
+    if (!FitsAlone(bytes)) {
+      return Status::ResourceExhausted(
+          std::string(what) + " needs " + std::to_string(bytes) +
+          " bytes, more than the whole " + std::to_string(limit_) +
+          "-byte memory budget");
+    }
+    std::unique_lock<std::mutex> lock(mutex_);
+    room_.wait(lock, [&] { return limit_ == 0 || bytes <= limit_ - used_; });
+    used_ += bytes;
+    peak_ = std::max(peak_, used_);
+    return Status::Ok();
   }
 
   void Release(uint64_t bytes) {
-    used_.fetch_sub(bytes, std::memory_order_relaxed);
+    {
+      std::lock_guard<std::mutex> lock(mutex_);
+      used_ -= bytes;
+    }
+    room_.notify_all();
   }
 
  private:
-  void UpdatePeak(uint64_t candidate) {
-    uint64_t peak = peak_.load(std::memory_order_relaxed);
-    while (candidate > peak &&
-           !peak_.compare_exchange_weak(peak, candidate,
-                                        std::memory_order_relaxed)) {
-    }
-  }
-
-  uint64_t limit_;
-  std::atomic<uint64_t> used_{0};
-  std::atomic<uint64_t> peak_{0};
+  const uint64_t limit_;
+  mutable std::mutex mutex_;
+  std::condition_variable room_;
+  uint64_t used_ = 0;
+  uint64_t peak_ = 0;
 };
 
-// RAII charge against an optional budget. Usage:
+// RAII reservation against an optional budget. Usage:
 //
 //   MemoryCharge charge;
-//   DOD_RETURN_IF_ERROR(charge.Acquire(budget, bytes, "shuffle bucket"));
+//   DOD_RETURN_IF_ERROR(charge.Acquire(budget, bytes, "task arena"));
 //   ... allocate ...
 //
-// A null budget makes Acquire a no-op that always succeeds. The charge is
-// released on destruction (or explicit Release()).
+// A null budget makes Acquire a no-op that always succeeds. Acquire first
+// releases any reservation the charge already holds, so a holder never
+// waits while holding one. The charge is released on destruction (or
+// explicit Release()).
 class MemoryCharge {
  public:
   MemoryCharge() = default;
@@ -96,25 +111,11 @@ class MemoryCharge {
 
   MemoryCharge(const MemoryCharge&) = delete;
   MemoryCharge& operator=(const MemoryCharge&) = delete;
-  MemoryCharge(MemoryCharge&& other) noexcept
-      : budget_(other.budget_), bytes_(other.bytes_) {
-    other.budget_ = nullptr;
-    other.bytes_ = 0;
-  }
 
   Status Acquire(MemoryBudget* budget, uint64_t bytes, const char* what) {
     Release();
     if (budget == nullptr || bytes == 0) return Status::Ok();
-    if (!budget->TryCharge(bytes)) {
-      return Status::ResourceExhausted(
-          std::string(what) + " needs " + std::to_string(bytes) +
-          " bytes but only " +
-          std::to_string(budget->limit_bytes() -
-                         std::min(budget->limit_bytes(),
-                                  budget->used_bytes())) +
-          " of the " + std::to_string(budget->limit_bytes()) +
-          "-byte budget remain");
-    }
+    DOD_RETURN_IF_ERROR(budget->Reserve(bytes, what));
     budget_ = budget;
     bytes_ = bytes;
     return Status::Ok();

@@ -22,7 +22,7 @@ namespace {
 // metrics dumps.
 struct DurabilityMetrics {
   uint32_t tasks_written, tasks_resumed, bytes_written, write_seconds,
-      load_failures, control_aborts, shuffle_budget_fallbacks, peak_bytes;
+      load_failures, control_aborts, peak_bytes;
 };
 
 const DurabilityMetrics& Durability() {
@@ -37,8 +37,6 @@ const DurabilityMetrics& Durability() {
                               MetricKind::kHistogram),
         .load_failures = m.Id("durability.checkpoint.load_failures", kCounter),
         .control_aborts = m.Id("durability.control.aborts", kCounter),
-        .shuffle_budget_fallbacks =
-            m.Id("durability.memory.shuffle_budget_fallbacks", kCounter),
         .peak_bytes = m.Id("durability.memory.peak_bytes", MetricKind::kGauge),
     };
   }();
@@ -86,14 +84,12 @@ void RecordJobMetrics(const JobSpec& spec, const JobStats& stats,
       0,
       counter("mr.shuffle.fallback.density"),
       counter("mr.shuffle.fallback.budget"),
-      counter("mr.shuffle.fallback.spill"),
   };
   static_assert(std::size(kFallbacks) ==
-                static_cast<size_t>(FallbackReason::kSpill) + 1);
+                static_cast<size_t>(FallbackReason::kBudget) + 1);
   static const uint32_t kShuffleGroupSeconds =
       histogram("mr.shuffle.group_seconds");
   static const uint32_t kSpillMapTasks = counter("mr.spill.map_tasks");
-  static const uint32_t kSpillReduceTasks = counter("mr.spill.reduce_tasks");
   static const uint32_t kSpillRunsWritten = counter("mr.spill.runs_written");
   static const uint32_t kSpillBytesWritten = counter("mr.spill.bytes_written");
   static const uint32_t kSpillRunsMerged = counter("mr.spill.runs_merged");
@@ -120,9 +116,6 @@ void RecordJobMetrics(const JobSpec& spec, const JobStats& stats,
   metrics.Increment(kGroups, stats.groups_reduced);
   for (const ReduceLedger& task : reduces) {
     metrics.Increment(kPathTasks[static_cast<size_t>(task.group_path)]);
-    if (task.group_path == GroupPath::kSortedBudget) {
-      metrics.Increment(Durability().shuffle_budget_fallbacks);
-    }
     if (task.fallback != FallbackReason::kNone) {
       metrics.Increment(kFallbacks[static_cast<size_t>(task.fallback)]);
     }
@@ -130,23 +123,17 @@ void RecordJobMetrics(const JobSpec& spec, const JobStats& stats,
   }
   // Spill accounting, from the committed run descriptors — failed
   // attempts' truncated files never show up here. Every run is written
-  // once and merged back once: map runs by the reduce task of their
-  // partition, reduce runs by the task that spilled them.
-  const auto record_runs = [&](const std::vector<SpillRunInfo>& runs,
-                               uint32_t task_counter) {
-    if (runs.empty()) return;
-    metrics.Increment(task_counter);
-    for (const SpillRunInfo& run : runs) {
+  // once and merged back once, by the reduce task of its partition.
+  for (const MapLedger& task : maps) {
+    if (task.runs.empty()) continue;
+    metrics.Increment(kSpillMapTasks);
+    for (const SpillRunInfo& run : task.runs) {
       metrics.Increment(kSpillRunsWritten);
       metrics.Increment(kSpillBytesWritten, run.bytes);
       metrics.Observe(kSpillRunRecords, static_cast<double>(run.records));
       metrics.Increment(kSpillRunsMerged);
       metrics.Increment(kSpillBytesRead, run.bytes);
     }
-  };
-  for (const MapLedger& task : maps) record_runs(task.runs, kSpillMapTasks);
-  for (const ReduceLedger& task : reduces) {
-    record_runs(task.spill_runs, kSpillReduceTasks);
   }
   metrics.SetMax(kWorkerGroups, static_cast<double>(executor.num_groups()));
   // Steal-locality scorecard of this job's pool. Scheduling-dependent,
@@ -349,7 +336,7 @@ Status ReadGroupSummary(PayloadReader& in, ReduceLedger* ledger) {
   ledger->group_path = static_cast<GroupPath>(path);
   uint8_t reason = 0;
   DOD_RETURN_IF_ERROR(in.U8(&reason));
-  if (reason > static_cast<uint8_t>(FallbackReason::kSpill)) {
+  if (reason > static_cast<uint8_t>(FallbackReason::kBudget)) {
     return Status::IoError("reduce checkpoint has unknown fallback reason");
   }
   ledger->fallback = static_cast<FallbackReason>(reason);

@@ -127,10 +127,9 @@ struct JobSpec {
   // grouping mode: a map task whose emitted bytes cross the (budget-wired)
   // threshold flushes its buckets as sorted runs, and reduce grouping
   // merges runs and memory segments back together — job output stays
-  // byte-identical to the all-in-memory shuffle. It also lets a reduce
-  // task under budget pressure spill its memory segments (the degrade in
-  // mapreduce/spill.h). Disabled when dir is empty. Requires trivially
-  // copyable K/V (enforced with a structured error, like checkpointing).
+  // byte-identical to the all-in-memory shuffle. Disabled when dir is
+  // empty. Requires trivially copyable K/V (enforced with a structured
+  // error, like checkpointing).
   SpillPolicy spill;
   // Worker locality groups of the task pool: <= 0 auto-detects (NUMA
   // nodes, else cache-domain buckets — see ThreadPool::DetectWorkerGroups).
@@ -158,12 +157,12 @@ struct JobSpec {
   // between phases; a fired condition aborts with kDeadlineExceeded /
   // kCancelled (see `partial_stats`).
   const RunControl* control = nullptr;
-  // Memory budget. Deterministically degrades the columnar shuffle to the
-  // sorted path when its scratch would not fit (result-identical, counted
-  // in mr.shuffle.budget_fallback_tasks), or — with a spill directory —
-  // spills a reduce task's memory segments when scratch fits but not next
-  // to them, and turns allocation failures inside attempts into
-  // kResourceExhausted.
+  // Memory budget. Deterministically routes a reduce task's columnar
+  // grouping to the sorted path when its scratch alone would not fit
+  // (result-identical, counted in mr.shuffle.budget_fallback_tasks); the
+  // reducer's own reservations wait for room and fail with
+  // kResourceExhausted only when they cannot fit alone (see
+  // durability/memory_budget.h).
   MemoryBudget* memory = nullptr;
   // When set, a failing job merges the stats of all work that did complete
   // into *partial_stats before returning its error — partial-progress
@@ -213,11 +212,6 @@ struct MapLedger : TaskLedger {
 struct ReduceLedger : TaskLedger {
   GroupPath group_path = GroupPath::kSorted;
   FallbackReason fallback = FallbackReason::kNone;
-  // Reduce-side spill degrade (see GroupSegments): the task's memory
-  // segments, one sorted run each, written out so the columnar histogram
-  // could run without them resident. Task-level so a retry regroups from
-  // the existing runs instead of re-spilling already-freed segments.
-  std::vector<SpillRunInfo> spill_runs;
   double group_seconds = 0.0;
 };
 
@@ -649,20 +643,16 @@ Result<JobOutput<Out>> RunMapReduce(
               // Grouping is part of the attempt's cost, like Hadoop's
               // reducer-side sort, and idempotent: the sorted path's
               // in-place concatenation and stable sort of memory
-              // segments, the columnar path's scratch rebuild, the
-              // re-read of immutable runs, and the degrade (which leaves
-              // the segments pointing at its persisted runs) all re-run
-              // safely after a failure. Every path yields identical
-              // groups (see mapreduce/spill.h), so job output depends on
-              // neither the mode nor the spilling.
+              // segments, the columnar path's scratch rebuild and the
+              // re-read of immutable runs all re-run safely after a
+              // failure. Every path yields identical groups (see
+              // mapreduce/spill.h), so job output depends on neither the
+              // mode nor the spilling.
               StopWatch group_watch;
               internal::GroupScratch<K, V> scratch;
               Result<GroupedView<K, V>> groups = internal::GroupSegments(
                   segments[r], spec.shuffle, &scratch, &ledger.group_path,
-                  &ledger.fallback, spec.memory,
-                  spilling ? internal::SpillFilePath(spill_dir, "reduce", index)
-                           : std::string(),
-                  &spill_gc, &ledger.spill_runs);
+                  &ledger.fallback, spec.memory);
               if (!groups.ok()) return groups.status();
               ledger.group_seconds = group_watch.ElapsedSeconds();
               DOD_RETURN_IF_ERROR(

@@ -173,25 +173,21 @@ enum class GroupPath {
   kSorted,           // in-place stable sort of the memory segments'
                      // concatenation, as requested
   kSortedFallback,   // columnar requested but unavailable (key type/range)
-  kSortedBudget,     // columnar requested but its scratch exceeds the
-                     // memory budget — degraded to the sorted path
+  kSortedBudget,     // columnar requested but its scratch alone exceeds
+                     // the memory budget — grouped by the sorted path
   kColumnarSpilled,  // counting-sort histogram computed over input that
                      // includes disk runs (two streaming passes)
   kSortedSpilled,    // loser-tree merge of input that includes disk runs
 };
 
 // Which guard pushed a columnar-requested task off the counting-sort path.
-// Orthogonal to GroupPath: a kColumnarSpilled task can carry kSpill (the
-// budget guard fired and spilling — not plain sorting — absorbed it), and
-// a kSortedSpilled task carries the guard that rejected the histogram over
-// its runs. Feeds the reason-labeled mr.shuffle.fallback.* counters.
+// Orthogonal to GroupPath: a kSortedSpilled task carries the guard that
+// rejected the histogram over its runs. Feeds the reason-labeled
+// mr.shuffle.fallback.* counters. Stored in reduce checkpoints.
 enum class FallbackReason : uint8_t {
   kNone = 0,
   kDensity,  // key range too sparse for a counting histogram
-  kBudget,   // histogram scratch exceeds the memory budget
-  kSpill,    // scratch + resident memory segments exceed the budget; the
-             // segments were spilled so the histogram could run with only
-             // scratch resident
+  kBudget,   // histogram scratch exceeds the memory budget alone
 };
 
 }  // namespace internal

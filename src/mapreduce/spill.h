@@ -1,8 +1,8 @@
 // Copyright 2026 The DOD Authors.
 //
 // Spill-to-disk shuffle runs: the memory-locality layer that lets a job
-// whose shuffle would not fit in memory degrade to bounded-residency disk
-// runs instead of failing — with byte-identical output.
+// whose map output would not fit in memory keep it in bounded-residency
+// disk runs instead of failing — with byte-identical output.
 //
 // Map side: when a map attempt's emitted bytes cross the spill threshold,
 // every non-empty partition bucket is stable-sorted by key and appended to
@@ -32,10 +32,10 @@
 //  * the columnar scatter visits segments in list order, so each group's
 //    column comes out in emission order.
 //
-// Under memory pressure a reduce task can also spill: when the histogram
-// scratch fits the budget alone but not next to the task's resident memory
-// segments, each memory segment is written out as its own sorted run and
-// freed, and the histogram streams over the runs instead (the degrade).
+// Only map tasks spill. Map output resident in memory is bounded by the
+// per-task spill threshold; a reduce task groups its segments where they
+// sit, and the memory budget only decides, by a pure FitsAlone check on
+// the histogram scratch, whether that grouping is columnar or sorted.
 //
 // Attempt retries are safe: the run file is truncated at the start of each
 // spilling attempt (attempts are sequential and speculative duplicates
@@ -125,9 +125,8 @@ std::string SpillJobDir(const std::string& dir, const std::string& job_scope);
 
 // Job-scoped registry of spill files, removed best-effort on destruction
 // along with the job's private spill subdirectory (the recursive sweep is
-// what reclaims orphans a crashed predecessor with the same scope left —
-// e.g. reduce-side runs whose tasks were restored from checkpoints and
-// therefore never re-tracked). A hard crash skips destructors,
+// what reclaims files a crashed predecessor with the same scope left that
+// no checkpoint restore re-tracks). A hard crash skips destructors,
 // deliberately leaving the files for the resumed run (which re-tracks
 // map runs via the checkpoint restore path). A checkpointing job arms
 // keep_files until it succeeds, so a structured failure preserves the
@@ -169,10 +168,10 @@ uint64_t SpillKeyCast(const K& key) {
   }
 }
 
-// Writes one task's spill runs. One instance per map task (or per
-// reduce-side degrade), driven by the ShuffleEmitter: Spill() flushes all
-// non-empty buckets as sorted runs, Finish() flushes the remainder iff the
-// task spilled at all. Errors are sticky; the attempt surfaces them.
+// Writes one map task's spill runs, driven by the ShuffleEmitter: Spill()
+// flushes all non-empty buckets as sorted runs, Finish() flushes the
+// remainder iff the task spilled at all. Errors are sticky; the attempt
+// surfaces them.
 template <typename K, typename V>
 class TaskSpiller {
  public:
@@ -432,53 +431,15 @@ Status MergeSegments(std::vector<SegmentCursor<K, V>>& cursors,
   return Status::Ok();
 }
 
-// The degrade: writes every non-empty memory segment of `segments` as its
-// own stably-sorted run (list order, so runs stay time-sliced in split
-// order), frees it and points the segment at its run. The runs land in
-// *runs, which outlives the attempt, so a retry regroups from them. On a
-// write error the segments keep their records.
-template <typename K, typename V>
-Status SpillMemorySegments(std::vector<ShuffleSegment<K, V>>& segments,
-                           const std::string& file, SpillGc* gc,
-                           std::vector<SpillRunInfo>* runs) {
-  std::vector<ShuffleSegment<K, V>*> resident;
-  typename TaskSpiller<K, V>::Buckets buckets;
-  for (ShuffleSegment<K, V>& segment : segments) {
-    if (segment.memory == nullptr || segment.memory->empty()) continue;
-    resident.push_back(&segment);
-    buckets.emplace_back().swap(*segment.memory);
-  }
-  TaskSpiller<K, V> spiller(file, gc);
-  spiller.Spill(buckets);
-  for (size_t i = 0; i < resident.size(); ++i) {
-    resident[i]->memory->swap(buckets[i]);
-  }
-  DOD_RETURN_IF_ERROR(spiller.status());
-  *runs = spiller.TakeRuns();
-  for (size_t i = 0; i < resident.size(); ++i) {
-    // Free for real: the histogram must run with only its scratch
-    // resident, which is the point of the degrade.
-    *resident[i]->memory = std::vector<std::pair<K, V>>();
-    *resident[i] = ShuffleSegment<K, V>{nullptr, &(*runs)[i]};
-  }
-  return Status::Ok();
-}
-
 // Groups one reduce task's segment list under `mode`. The columnar
 // admission — signed-domain key range, density guard, and the budget's
 // FitsAlone check on the histogram scratch — is computed once, from
 // segment contents and run metadata, so the chosen path is identical
 // across thread counts and fault schedules. Then exactly one of:
 //
-//  (a) the degrade, when `spill_file` is set, the scratch fits the budget
-//      alone but not next to the resident memory segments: the memory
-//      segments are spilled (SpillMemorySegments into *spilled_runs) and
-//      the histogram streams over the runs — kColumnarSpilled + kSpill. A
-//      retry finds the segments already pointing at *spilled_runs and
-//      keeps the labels;
-//  (b) columnar: histogram, then scatter — kColumnar, or kColumnarSpilled
+//  (a) columnar: histogram, then scatter — kColumnar, or kColumnarSpilled
 //      when the input includes runs;
-//  (c) sorted: memory-only input is folded into its first memory segment
+//  (b) sorted: memory-only input is folded into its first memory segment
 //      and stable-sorted in place, with no second copy — kSorted /
 //      kSortedFallback / kSortedBudget; input with runs stable-sorts its
 //      memory segments in place and loser-tree merges everything into
@@ -490,11 +451,9 @@ template <typename K, typename V>
 Result<GroupedView<K, V>> GroupSegments(
     std::vector<ShuffleSegment<K, V>>& segments, ShuffleMode mode,
     GroupScratch<K, V>* scratch, GroupPath* path, FallbackReason* reason,
-    const MemoryBudget* budget, const std::string& spill_file = {},
-    SpillGc* gc = nullptr, std::vector<SpillRunInfo>* spilled_runs = nullptr) {
+    const MemoryBudget* budget) {
   *reason = FallbackReason::kNone;
   uint64_t records = 0;
-  uint64_t resident_records = 0;
   bool any_runs = false;
   for (const ShuffleSegment<K, V>& segment : segments) {
     if (segment.run != nullptr) {
@@ -502,7 +461,6 @@ Result<GroupedView<K, V>> GroupSegments(
       records += segment.run->records;
     } else {
       records += segment.memory->size();
-      resident_records += segment.memory->size();
     }
   }
   if (records == 0) {
@@ -555,14 +513,6 @@ Result<GroupedView<K, V>> GroupSegments(
       } else if (budget != nullptr && !budget->FitsAlone(scratch_bytes)) {
         *reason = FallbackReason::kBudget;
       } else {
-        if (!spill_file.empty() && spilled_runs != nullptr &&
-            resident_records > 0 && budget != nullptr &&
-            !budget->FitsAlone(scratch_bytes +
-                               resident_records * sizeof(std::pair<K, V>))) {
-          DOD_RETURN_IF_ERROR(
-              SpillMemorySegments(segments, spill_file, gc, spilled_runs));
-          any_runs = true;
-        }
         // Pass 1: histogram the keys across every segment. Slots subtract
         // in the U domain (two's-complement wraparound), so negative keys
         // land in order.
@@ -620,9 +570,6 @@ Result<GroupedView<K, V>> GroupSegments(
           }
         }
         *path = any_runs ? GroupPath::kColumnarSpilled : GroupPath::kColumnar;
-        if (spilled_runs != nullptr && !spilled_runs->empty()) {
-          *reason = FallbackReason::kSpill;
-        }
         return GroupedView<K, V>(scratch->keys, scratch->values,
                                  scratch->offsets);
       }

@@ -170,6 +170,18 @@ TEST(CliSmokeTest, CellGridOverflowExitsWithMessage) {
   EXPECT_NE(result.output.find("int32"), std::string::npos) << result.output;
 }
 
+TEST(CliSmokeTest, EmptyJobShapesExitWithMessage) {
+  // Zero reducers, blocks or mini buckets per dimension: exit 1 with an
+  // InvalidArgument naming the field, not an abort (exit 134).
+  for (const char* flag : {"--reducers 0", "--blocks 0", "--buckets 0"}) {
+    const CommandResult result =
+        RunCommand(std::string("--generate uniform --n 2000 ") + flag);
+    EXPECT_EQ(result.exit_code, 1) << flag << ": " << result.output;
+    EXPECT_NE(result.output.find("InvalidArgument"), std::string::npos)
+        << flag << ": " << result.output;
+  }
+}
+
 TEST(CliSmokeTest, MissingInputFileIsRejected) {
   const CommandResult result = RunCommand("--input /no/such/file.csv");
   EXPECT_NE(result.exit_code, 0);

@@ -10,11 +10,14 @@
 #include <unistd.h>
 
 #include <algorithm>
+#include <atomic>
+#include <chrono>
 #include <cstdint>
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
 #include <string>
+#include <thread>
 #include <utility>
 #include <vector>
 
@@ -425,26 +428,86 @@ TEST(RunControlTest, ExpiredDeadlineFires) {
   EXPECT_EQ(control.Check().code(), StatusCode::kDeadlineExceeded);
 }
 
-TEST(MemoryBudgetTest, ChargeReleasePeakAndFitsAlone) {
+TEST(MemoryBudgetTest, ReserveReleasePeakAndFitsAlone) {
   MemoryBudget budget(100);
   EXPECT_TRUE(budget.FitsAlone(100));
   EXPECT_FALSE(budget.FitsAlone(101));
-  EXPECT_TRUE(budget.TryCharge(60));
-  EXPECT_TRUE(budget.TryCharge(40));
-  EXPECT_FALSE(budget.TryCharge(1));  // full
+  ASSERT_TRUE(budget.Reserve(60, "a").ok());
+  ASSERT_TRUE(budget.Reserve(40, "b").ok());
   EXPECT_EQ(budget.used_bytes(), 100u);
   budget.Release(40);
   EXPECT_EQ(budget.used_bytes(), 60u);
   EXPECT_EQ(budget.peak_bytes(), 100u);
-  // FitsAlone ignores concurrent usage — it is the deterministic check.
+  // FitsAlone ignores live reservations — it is the deterministic check.
   EXPECT_TRUE(budget.FitsAlone(100));
+  // Too large alone: fails at once, charges nothing, and the message
+  // names only the bytes and the limit.
+  const Status status = budget.Reserve(101, "oversize");
+  EXPECT_EQ(status.code(), StatusCode::kResourceExhausted);
+  EXPECT_EQ(status.message(),
+            "oversize needs 101 bytes, more than the whole 100-byte memory "
+            "budget");
+  EXPECT_EQ(budget.used_bytes(), 60u);
 }
 
 TEST(MemoryBudgetTest, ZeroLimitIsUnlimitedButAccounted) {
   MemoryBudget budget(0);
   EXPECT_TRUE(budget.FitsAlone(1ull << 60));
-  EXPECT_TRUE(budget.TryCharge(1ull << 40));
-  EXPECT_EQ(budget.peak_bytes(), 1ull << 40);
+  EXPECT_TRUE(budget.Reserve(1ull << 40, "a").ok());
+  EXPECT_TRUE(budget.Reserve(1ull << 40, "b").ok());
+  EXPECT_EQ(budget.peak_bytes(), 1ull << 41);
+}
+
+TEST(MemoryBudgetTest, ReserveWaitsForRoomInsteadOfFailing) {
+  MemoryBudget budget(100);
+  ASSERT_TRUE(budget.Reserve(80, "holder").ok());
+  std::atomic<bool> granted{false};
+  std::thread waiter([&] {
+    EXPECT_TRUE(budget.Reserve(50, "waiter").ok());
+    granted = true;
+  });
+  // 50 fits alone but not next to the 80 held: the waiter blocks.
+  std::this_thread::sleep_for(std::chrono::milliseconds(20));
+  EXPECT_FALSE(granted.load());
+  budget.Release(80);
+  waiter.join();
+  EXPECT_TRUE(granted.load());
+  EXPECT_EQ(budget.used_bytes(), 50u);
+  EXPECT_EQ(budget.peak_bytes(), 80u);
+}
+
+TEST(MemoryBudgetTest, ConcurrentReservationsThatFitAloneAllSucceed) {
+  // Eight holders, each taking one reservation at a time, with sizes up to
+  // the whole limit: every reservation is granted, usage never passes the
+  // limit, and an oversize request fails without charging.
+  constexpr uint64_t kLimit = 1000;
+  MemoryBudget budget(kLimit);
+  std::atomic<int> failures{0};
+  std::atomic<int> oversize_denials{0};
+  std::vector<std::thread> holders;
+  for (uint64_t t = 0; t < 8; ++t) {
+    holders.emplace_back([&budget, &failures, &oversize_denials, t] {
+      for (uint64_t i = 0; i < 200; ++i) {
+        MemoryCharge charge;
+        const uint64_t bytes = 1 + (t * 131 + i * 37) % kLimit;
+        if (!charge.Acquire(&budget, bytes, "task").ok()) ++failures;
+        if (i == 100) {
+          MemoryCharge oversize;
+          const Status status =
+              oversize.Acquire(&budget, kLimit + 1, "oversize");
+          if (status.code() == StatusCode::kResourceExhausted) {
+            ++oversize_denials;
+          }
+        }
+      }
+    });
+  }
+  for (std::thread& holder : holders) holder.join();
+  EXPECT_EQ(failures.load(), 0);
+  EXPECT_EQ(oversize_denials.load(), 8);
+  EXPECT_EQ(budget.used_bytes(), 0u);
+  EXPECT_GT(budget.peak_bytes(), 0u);
+  EXPECT_LE(budget.peak_bytes(), kLimit);
 }
 
 TEST(MemoryBudgetTest, MemoryChargeIsRaii) {
@@ -453,10 +516,15 @@ TEST(MemoryBudgetTest, MemoryChargeIsRaii) {
     MemoryCharge charge;
     ASSERT_TRUE(charge.Acquire(&budget, 80, "test").ok());
     EXPECT_EQ(budget.used_bytes(), 80u);
+    // Re-acquiring releases the held reservation first, so it never
+    // waits on itself.
+    ASSERT_TRUE(charge.Acquire(&budget, 90, "regrown").ok());
+    EXPECT_EQ(budget.used_bytes(), 90u);
     MemoryCharge denied;
-    const Status status = denied.Acquire(&budget, 30, "overflow");
+    const Status status = denied.Acquire(&budget, 101, "overflow");
     EXPECT_EQ(status.code(), StatusCode::kResourceExhausted);
     EXPECT_NE(status.message().find("overflow"), std::string::npos);
+    EXPECT_EQ(budget.used_bytes(), 90u);
   }
   EXPECT_EQ(budget.used_bytes(), 0u);  // released on scope exit
   MemoryCharge no_budget;

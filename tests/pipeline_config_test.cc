@@ -221,5 +221,106 @@ TEST(PipelineConfigTest, CountersReportAlgorithmMix) {
   EXPECT_GT(nl_cells + cb_cells, 0u);
 }
 
+// `dod_cli --generate uniform --n <n> --seed 11 --blocks 4 --reducers
+// <reducers> --memory_budget_mb <budget_mb> --threads <threads>`.
+DodConfig BudgetedConfig(int reducers, uint64_t budget_mb, int threads) {
+  DodConfig config = DodConfig::Dmt(DetectionParams{5.0, 4});
+  config.seed = 11;
+  config.target_partitions = 50;
+  config.num_blocks = 4;
+  config.num_reduce_tasks = reducers;
+  config.memory_budget_mb = budget_mb;
+  config.num_threads = threads;
+  return config;
+}
+
+Dataset BudgetedData() {
+  return GenerateUniform(200000, DomainForDensity(200000, 0.05), 11);
+}
+
+TEST(PipelineConfigTest, TightBudgetCommitsSameOutliersAtEveryThreadCount) {
+  // Each of the two reduce tasks' arenas fits the 3 MiB budget alone but
+  // not next to the other's: a concurrent task waits for room instead of
+  // failing, so every thread count commits the sequential run's outliers.
+  const Dataset data = BudgetedData();
+  std::vector<PointId> sequential;
+  for (int threads : {1, 2, 4}) {
+    DodConfig config = BudgetedConfig(/*reducers=*/2, /*budget_mb=*/3, threads);
+    config.spill_dir = testing::TempDir() + "/tight_budget_spill";
+    config.spill_threshold_mb = 64;
+    Result<DodResult> result = DodPipeline(config).Run(data);
+    ASSERT_TRUE(result.ok()) << "threads " << threads << ": "
+                             << result.status().ToString();
+    if (threads == 1) {
+      sequential = result.value().outliers;
+      EXPECT_FALSE(sequential.empty());
+    } else {
+      EXPECT_EQ(result.value().outliers, sequential) << "threads " << threads;
+    }
+  }
+}
+
+TEST(PipelineConfigTest, ArenaOverBudgetFailsWithOneMessageAtEveryThreadCount) {
+  // A reduce task's arena cannot fit the 1 MiB budget alone: the error
+  // names its size and the limit — never what concurrent tasks hold — so
+  // every thread count reports the same one.
+  const Dataset data = BudgetedData();
+  std::string sequential;
+  for (int threads : {1, 2, 4}) {
+    Result<DodResult> result =
+        DodPipeline(BudgetedConfig(/*reducers=*/3, /*budget_mb=*/1, threads))
+            .Run(data);
+    ASSERT_FALSE(result.ok()) << "threads " << threads;
+    EXPECT_EQ(result.status().code(), StatusCode::kResourceExhausted);
+    const std::string message = result.status().ToString();
+    EXPECT_NE(message.find("more than the whole 1048576-byte memory budget"),
+              std::string::npos)
+        << message;
+    if (threads == 1) {
+      sequential = message;
+    } else {
+      EXPECT_EQ(message, sequential) << "threads " << threads;
+    }
+  }
+}
+
+TEST(PipelineConfigTest, ByteBudgetsThatOverflowAreInvalidArguments) {
+  // MiB counts above UINT64_MAX >> 20 would wrap on the byte conversion:
+  // 2^44 + 1 MiB used to become a 1 MiB budget, 2^44 MiB "unlimited".
+  const Dataset data = TestData(16, 500);
+  for (uint64_t mb : {(uint64_t{1} << 44) + 1, uint64_t{1} << 44,
+                      ~uint64_t{0}}) {
+    DodConfig budget = DodConfig::Dmt(DetectionParams{5.0, 4});
+    budget.memory_budget_mb = mb;
+    EXPECT_EQ(DodPipeline(budget).Run(data).status().code(),
+              StatusCode::kInvalidArgument)
+        << "memory_budget_mb " << mb;
+    DodConfig spill = DodConfig::Dmt(DetectionParams{5.0, 4});
+    spill.spill_dir = testing::TempDir() + "/overflow_spill";
+    spill.spill_threshold_mb = mb;
+    EXPECT_EQ(DodPipeline(spill).Run(data).status().code(),
+              StatusCode::kInvalidArgument)
+        << "spill_threshold_mb " << mb;
+  }
+  // The largest convertible count still runs.
+  DodConfig largest = DodConfig::Dmt(DetectionParams{5.0, 4});
+  largest.memory_budget_mb = ~uint64_t{0} >> 20;
+  EXPECT_TRUE(DodPipeline(largest).Run(data).ok());
+}
+
+TEST(PipelineConfigTest, EmptyJobShapesAreInvalidArguments) {
+  const Dataset data = TestData(17, 500);
+  DodConfig reducers = DodConfig::Dmt(DetectionParams{5.0, 4});
+  reducers.num_reduce_tasks = 0;
+  DodConfig blocks = DodConfig::Dmt(DetectionParams{5.0, 4});
+  blocks.num_blocks = 0;
+  DodConfig buckets = DodConfig::Dmt(DetectionParams{5.0, 4});
+  buckets.sampler.buckets_per_dim = 0;
+  for (const DodConfig& config : {reducers, blocks, buckets}) {
+    EXPECT_EQ(DodPipeline(config).Run(data).status().code(),
+              StatusCode::kInvalidArgument);
+  }
+}
+
 }  // namespace
 }  // namespace dod

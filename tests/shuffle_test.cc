@@ -1117,135 +1117,40 @@ TEST(ShuffleSpillTest, GroupSegmentsOrdersMixedSignKeysLikeInMemory) {
   }
 }
 
-// Keys (i * 7) % 50 for i < n, in emission order.
-std::vector<std::pair<uint32_t, int>> DegradeRecords(size_t n) {
-  std::vector<uint32_t> keys(n);
+TEST(ShuffleSpillTest, BudgetFallbackSortsMemorySegmentsInPlace) {
+  // A budget the histogram scratch cannot fit alone: the sorted path,
+  // labelled budget-driven. It sorts the memory segments' concatenation
+  // in place — no copy the budget never saw — folded into the first
+  // segment. Keys (i * 7) % 50, in emission order.
+  std::vector<uint32_t> keys(500);
   for (size_t i = 0; i < keys.size(); ++i) {
     keys[i] = static_cast<uint32_t>((i * 7) % 50);
   }
-  return SequencedBucket(keys);
-}
-
-TEST(ShuffleSpillTest, BudgetPressureDegradesToSpilledColumnarRun) {
-  const std::string dir = FreshSpillDir("degrade");
-  std::filesystem::create_directories(dir);
-  const std::vector<std::pair<uint32_t, int>> records = DegradeRecords(500);
-
-  // Budget window where the histogram scratch fits alone but not next to
-  // the resident segment: the regime only spilling can serve, by freeing
-  // the segment before the histogram pass.
+  const std::vector<std::pair<uint32_t, int>> records = SequencedBucket(keys);
   const uint64_t scratch_bytes = internal::ColumnarScratchBytes(
       records.size(), /*range=*/50, sizeof(uint32_t), sizeof(int));
-  MemoryBudget budget(scratch_bytes + 64);
-  ASSERT_FALSE(budget.FitsAlone(
-      scratch_bytes + records.size() * sizeof(std::pair<uint32_t, int>)));
-
-  internal::SpillGc gc;
-  std::vector<std::pair<uint32_t, int>> bucket = records;
-  std::vector<internal::ShuffleSegment<uint32_t, int>> segments = {
-      {&bucket, nullptr}};
-  std::vector<internal::SpillRunInfo> spilled_runs;
-  const std::string file = internal::SpillFilePath(dir, "reduce", 0);
+  MemoryBudget tight(scratch_bytes / 2);
+  std::vector<std::vector<std::pair<uint32_t, int>>> slices(3);
+  std::vector<internal::ShuffleSegment<uint32_t, int>> segments;
+  for (size_t i = 0; i < slices.size(); ++i) {
+    slices[i].assign(records.begin() + records.size() * i / slices.size(),
+                     records.begin() +
+                         records.size() * (i + 1) / slices.size());
+    segments.push_back({&slices[i], nullptr});
+  }
   GroupScratch<uint32_t, int> scratch;
   GroupPath path;
   FallbackReason reason;
-  auto grouped = internal::GroupSegments(segments, ShuffleMode::kColumnar,
-                                         &scratch, &path, &reason, &budget,
-                                         file, &gc, &spilled_runs);
-  ASSERT_TRUE(grouped.ok());
-  EXPECT_EQ(path, GroupPath::kColumnarSpilled);
-  EXPECT_EQ(reason, FallbackReason::kSpill);
-  EXPECT_TRUE(bucket.empty());  // resident segment freed for real
-  EXPECT_EQ(bucket.capacity(), 0u);
-  ASSERT_EQ(spilled_runs.size(), 1u);
-  EXPECT_EQ(segments[0].run, &spilled_runs[0]);
-  ExpectOracleGroups(grouped.value(), records);
-
-  // Attempt retry: the segment already points at the persisted run —
-  // regrouping must reuse it, not re-spill nothing.
-  GroupScratch<uint32_t, int> retry_scratch;
-  GroupPath retry_path;
-  FallbackReason retry_reason;
-  auto regrouped = internal::GroupSegments(
-      segments, ShuffleMode::kColumnar, &retry_scratch, &retry_path,
-      &retry_reason, &budget, file, &gc, &spilled_runs);
-  ASSERT_TRUE(regrouped.ok());
-  EXPECT_EQ(retry_path, GroupPath::kColumnarSpilled);
-  EXPECT_EQ(retry_reason, FallbackReason::kSpill);
-  EXPECT_EQ(spilled_runs.size(), 1u);
-  ExpectOracleGroups(regrouped.value(), records);
-
-  // Without a spill file there is no degrade that frees the segment, so
-  // the comparable pressure is a budget the histogram scratch itself
-  // cannot fit: the sorted path, labelled budget-driven. It sorts the
-  // memory segments' concatenation in place — no copy the budget never
-  // saw — folded into the first segment.
-  MemoryBudget tight(scratch_bytes / 2);
-  std::vector<std::vector<std::pair<uint32_t, int>>> unspillable(3);
-  std::vector<internal::ShuffleSegment<uint32_t, int>> sorted_segments;
-  for (size_t i = 0; i < unspillable.size(); ++i) {
-    unspillable[i].assign(
-        records.begin() + records.size() * i / unspillable.size(),
-        records.begin() + records.size() * (i + 1) / unspillable.size());
-    sorted_segments.push_back({&unspillable[i], nullptr});
-  }
-  GroupScratch<uint32_t, int> sorted_scratch;
-  GroupPath sorted_path;
-  FallbackReason sorted_reason;
-  auto sorted = internal::GroupSegments(sorted_segments,
-                                        ShuffleMode::kColumnar,
-                                        &sorted_scratch, &sorted_path,
-                                        &sorted_reason, &tight);
+  auto sorted = internal::GroupSegments(segments, ShuffleMode::kColumnar,
+                                        &scratch, &path, &reason, &tight);
   ASSERT_TRUE(sorted.ok());
-  EXPECT_EQ(sorted_path, GroupPath::kSortedBudget);
-  EXPECT_EQ(sorted_reason, FallbackReason::kBudget);
+  EXPECT_EQ(path, GroupPath::kSortedBudget);
+  EXPECT_EQ(reason, FallbackReason::kBudget);
   ExpectOracleGroups(sorted.value(), records);
-  EXPECT_EQ(sorted_scratch.merged.capacity(), 0u);
-  EXPECT_EQ(unspillable[0].size(), records.size());
-  EXPECT_EQ(unspillable[1].capacity(), 0u);
-  EXPECT_EQ(unspillable[2].capacity(), 0u);
-}
-
-TEST(ShuffleSpillTest, BudgetDegradeSpillsEveryMemorySegment) {
-  // A task with several memory segments and some map-side runs: the
-  // degrade writes one run per memory segment, in list order, frees them
-  // all, and a second attempt regroups from the persisted runs.
-  const std::string dir = FreshSpillDir("degrade_many");
-  const std::vector<std::pair<uint32_t, int>> records = DegradeRecords(2000);
-  for (const SegmentLayout& layout : kLayouts) {
-    const std::string label = LayoutName(layout);
-    auto input = MakeSegments(records, layout, dir);
-    uint64_t resident = 0;
-    for (const auto& slice : input->memory) resident += slice.size();
-    const uint64_t scratch_bytes = internal::ColumnarScratchBytes(
-        records.size(), /*range=*/50, sizeof(uint32_t), sizeof(int));
-    MemoryBudget budget(scratch_bytes + 64);
-    ASSERT_FALSE(budget.FitsAlone(
-        scratch_bytes + resident * sizeof(std::pair<uint32_t, int>)))
-        << label;
-
-    std::vector<internal::SpillRunInfo> spilled_runs;
-    const std::string file = internal::SpillFilePath(dir, "reduce", 0);
-    for (int attempt = 0; attempt < 2; ++attempt) {
-      GroupScratch<uint32_t, int> scratch;
-      GroupPath path;
-      FallbackReason reason;
-      auto grouped = internal::GroupSegments(
-          input->segments, ShuffleMode::kColumnar, &scratch, &path, &reason,
-          &budget, file, &input->gc, &spilled_runs);
-      ASSERT_TRUE(grouped.ok()) << label << " attempt " << attempt;
-      EXPECT_EQ(path, GroupPath::kColumnarSpilled) << label;
-      EXPECT_EQ(reason, FallbackReason::kSpill) << label;
-      ExpectOracleGroups(grouped.value(), records);
-      ASSERT_EQ(spilled_runs.size(), layout.memory) << label;
-      for (const auto& slice : input->memory) {
-        EXPECT_EQ(slice.capacity(), 0u) << label;  // freed for real
-      }
-      for (const auto& segment : input->segments) {
-        EXPECT_EQ(segment.memory, nullptr) << label;
-      }
-    }
-  }
+  EXPECT_EQ(scratch.merged.capacity(), 0u);
+  EXPECT_EQ(slices[0].size(), records.size());
+  EXPECT_EQ(slices[1].capacity(), 0u);
+  EXPECT_EQ(slices[2].capacity(), 0u);
 }
 
 JobSpec SpilledDigestSpec(ShuffleMode mode, int threads,
@@ -1379,7 +1284,6 @@ TEST(ShuffleSpillTest, SpillMetricsAndPathsAreRecorded) {
   // guard, so no fallback reason is charged.
   EXPECT_EQ(MetricCount(columnar, "mr.shuffle.fallback.density"), 0u);
   EXPECT_EQ(MetricCount(columnar, "mr.shuffle.fallback.budget"), 0u);
-  EXPECT_EQ(MetricCount(columnar, "mr.shuffle.fallback.spill"), 0u);
 
   metrics.Reset();
   RunDigestJob(
@@ -1418,9 +1322,8 @@ TEST(ShuffleSpillTest, FallbackReasonCountersLabelEachGuard) {
   const std::vector<MetricSnapshot> density = metrics.Snapshot();
   EXPECT_GT(MetricCount(density, "mr.shuffle.fallback.density"), 0u);
   EXPECT_EQ(MetricCount(density, "mr.shuffle.fallback.budget"), 0u);
-  EXPECT_EQ(MetricCount(density, "mr.shuffle.fallback.spill"), 0u);
 
-  // Budget: a budget too small for any histogram scratch, no spill dir.
+  // Budget: a budget too small for any histogram scratch.
   metrics.Reset();
   {
     MemoryBudget tiny(16);
@@ -1431,11 +1334,12 @@ TEST(ShuffleSpillTest, FallbackReasonCountersLabelEachGuard) {
   const std::vector<MetricSnapshot> budget = metrics.Snapshot();
   EXPECT_GT(MetricCount(budget, "mr.shuffle.fallback.budget"), 0u);
   EXPECT_EQ(MetricCount(budget, "mr.shuffle.fallback.density"), 0u);
-  EXPECT_EQ(MetricCount(budget, "mr.shuffle.fallback.spill"), 0u);
+  EXPECT_GT(MetricCount(budget, "mr.shuffle.budget_fallback_tasks"), 0u);
 
-  // Spill: the same budget window as BudgetPressureDegradesToSpilledColumnar
-  // but through the engine, with a spill dir available. Reduce task 0's
-  // bucket holds 123 records over key range [0, 16].
+  // No guard: reduce task 0's histogram scratch (123 records over key
+  // range [0, 16]) fits the budget alone, but not next to its resident
+  // bucket. Resident map output is not the budget's to charge, so with a
+  // spill dir available the task still groups columnar in memory.
   metrics.Reset();
   const std::string dir = FreshSpillDir("reason");
   {
@@ -1445,15 +1349,14 @@ TEST(ShuffleSpillTest, FallbackReasonCountersLabelEachGuard) {
     JobSpec spec = SpilledDigestSpec(ShuffleMode::kColumnar, 1, FaultSpec{},
                                      dir, uint64_t{1} << 30);
     spec.memory = &window;
-    const JobOutput<GroupDigest> degraded = RunDigestJob(spec);
-    const JobOutput<GroupDigest> reference =
-        RunDigestJob(DigestSpec(ShuffleMode::kColumnar, 1, FaultSpec{}));
-    EXPECT_EQ(degraded.output, reference.output);
+    EXPECT_EQ(RunDigestJob(spec).output,
+              RunDigestJob(DigestSpec(ShuffleMode::kColumnar, 1, FaultSpec{}))
+                  .output);
   }
-  const std::vector<MetricSnapshot> spill = metrics.Snapshot();
-  EXPECT_GT(MetricCount(spill, "mr.shuffle.fallback.spill"), 0u);
-  EXPECT_GT(MetricCount(spill, "mr.shuffle.columnar_spilled_tasks"), 0u);
-  EXPECT_GT(MetricCount(spill, "mr.spill.reduce_tasks"), 0u);
+  const std::vector<MetricSnapshot> window = metrics.Snapshot();
+  EXPECT_EQ(MetricCount(window, "mr.shuffle.columnar_tasks"), 8u);
+  EXPECT_EQ(MetricCount(window, "mr.shuffle.fallback.budget"), 0u);
+  EXPECT_EQ(MetricCount(window, "mr.spill.runs_written"), 0u);
   EXPECT_EQ(SpillFilesIn(dir), 0u);
 }
 
@@ -1586,10 +1489,10 @@ TEST(ShuffleSpillTest, ResumeDiscardsInconsistentSpillRunDescriptors) {
 }
 
 TEST(ShuffleSpillTest, ResumeSweepsOrphanedReduceRuns) {
-  // A reduce task that degrades to spill-then-stream, checkpoints, and is
-  // then restored on resume never regroups — nothing re-tracks its run
-  // file. The success-exit sweep of the job's spill namespace must
-  // reclaim it anyway.
+  // A file in the job's spill namespace that nothing tracks — a reduce
+  // run a crashed predecessor left behind, say. A checkpointed job keeps
+  // the namespace through a structured failure, and its success exit
+  // sweeps it, untracked files included.
   const JobOutput<SpillKeySum> baseline =
       RunSumJob(DigestSpec(ShuffleMode::kColumnar, 1, FaultSpec{}))
           .ValueOrDie();
@@ -1598,18 +1501,18 @@ TEST(ShuffleSpillTest, ResumeSweepsOrphanedReduceRuns) {
   std::error_code ec;
   std::filesystem::remove_all(ckpt, ec);
 
-  // Reduce task 0's bucket: 123 records over key range [0, 16]. The
-  // window fits the histogram scratch alone but not next to the resident
-  // bucket, so the task spills; the map side (1 GiB threshold) never does.
-  const uint64_t scratch_bytes = internal::ColumnarScratchBytes(
-      /*records=*/123, /*range=*/17, sizeof(int), sizeof(int));
+  // The map side (1 GiB threshold) never spills.
+  std::string orphan;
   {
     auto store =
         CheckpointStore::Open(ckpt, "sum", /*resume=*/false).ValueOrDie();
-    MemoryBudget window(scratch_bytes + 64);
+    const std::string job_dir = internal::SpillJobDir(
+        dir, store->dir() + "\n" + store->job_key());
+    std::filesystem::create_directories(job_dir);
+    orphan = internal::SpillFilePath(job_dir, "reduce", 0);
+    std::ofstream(orphan) << "orphaned run";
     JobSpec crashing = SpilledDigestSpec(ShuffleMode::kColumnar, 1,
                                          FaultSpec{}, dir, uint64_t{1} << 30);
-    crashing.memory = &window;
     crashing.checkpoint = store.get();
     crashing.faults.crash_at_task = 1;
     crashing.faults.crash_phase = TaskPhase::kReduce;
@@ -1617,22 +1520,20 @@ TEST(ShuffleSpillTest, ResumeSweepsOrphanedReduceRuns) {
     ASSERT_FALSE(crashed.ok());
     ASSERT_EQ(crashed.status().code(), StatusCode::kUnavailable);
   }
-  // Reduce task 0 committed after spilling: its run survives the failure.
-  EXPECT_GT(SpillFilesIn(dir), 0u);
+  EXPECT_TRUE(std::filesystem::exists(orphan));
 
   {
     auto store =
         CheckpointStore::Open(ckpt, "sum", /*resume=*/true).ValueOrDie();
-    MemoryBudget window(scratch_bytes + 64);
     JobSpec resuming = SpilledDigestSpec(ShuffleMode::kColumnar, 1,
                                          FaultSpec{}, dir, uint64_t{1} << 30);
-    resuming.memory = &window;
     resuming.checkpoint = store.get();
     resuming.resume = true;
     const JobOutput<SpillKeySum> resumed = RunSumJob(resuming).ValueOrDie();
     EXPECT_EQ(resumed.output, baseline.output);
   }
-  // The restored task's orphaned run file is gone with the namespace.
+  // The untracked file is gone with the namespace.
+  EXPECT_FALSE(std::filesystem::exists(orphan));
   EXPECT_EQ(SpillFilesIn(dir), 0u);
 }
 

@@ -93,10 +93,12 @@ Durable execution:
                          to an uninterrupted run
   --deadline_ms N        abort with DeadlineExceeded after N wall-clock ms
                          (checked between tasks and between cells)
-  --memory_budget_mb N   cap arena / shuffle-scratch memory; the columnar
-                         shuffle degrades to the sorted path when its
-                         scratch alone would not fit (results identical),
-                         genuine overcommit aborts with ResourceExhausted
+  --memory_budget_mb N   cap reduce-task arena memory: a task waits for
+                         room next to the others' arenas and the run
+                         fails with ResourceExhausted only when one arena
+                         cannot fit alone; a task whose columnar scratch
+                         alone would not fit groups by the sorted path
+                         (results identical)
   --spill_dir DIR        spill shuffle runs to DIR when a map task's
                          emitted bytes cross the spill threshold; output
                          stays byte-identical to the in-memory shuffle

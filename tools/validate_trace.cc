@@ -212,8 +212,7 @@ int ValidateDurabilityMetrics(const dod::JsonValue& metrics) {
        {"durability.checkpoint.tasks_written",
         "durability.checkpoint.tasks_resumed",
         "durability.checkpoint.bytes_written",
-        "durability.checkpoint.load_failures", "durability.control.aborts",
-        "durability.memory.shuffle_budget_fallbacks"}) {
+        "durability.checkpoint.load_failures", "durability.control.aborts"}) {
     if (!counters.Get(name).is_number()) {
       return Fail(std::string("metrics: missing durability counter \"") +
                   name + "\"");
@@ -253,11 +252,11 @@ int ValidateDurabilityMetrics(const dod::JsonValue& metrics) {
 int ValidateSpillMetrics(const dod::JsonValue& metrics) {
   const dod::JsonValue& counters = metrics.Get("counters");
   for (const char* name :
-       {"mr.spill.map_tasks", "mr.spill.reduce_tasks", "mr.spill.runs_written",
+       {"mr.spill.map_tasks", "mr.spill.runs_written",
         "mr.spill.bytes_written", "mr.spill.runs_merged",
         "mr.spill.bytes_read", "mr.shuffle.fallback.density",
-        "mr.shuffle.fallback.budget", "mr.shuffle.fallback.spill",
-        "runtime.steal.local", "runtime.steal.remote"}) {
+        "mr.shuffle.fallback.budget", "runtime.steal.local",
+        "runtime.steal.remote"}) {
     if (!counters.Get(name).is_number()) {
       return Fail(std::string("metrics: missing spill counter \"") + name +
                   "\"");
